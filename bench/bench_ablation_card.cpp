@@ -1,6 +1,7 @@
 // bench_ablation_card — ablation: Sinz sequential-counter cardinality
 // encoding (the paper's choice, [20]) vs the Bailleux–Boufkhad totalizer,
-// on first-solution reconstruction queries.
+// on first-solution reconstruction queries. The vars/clauses counters are
+// the encoded size of the last query.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,8 @@ void run_reconstruction(benchmark::State& state, sat::CardEncoding enc_kind) {
   core::Logger logger(enc);
 
   std::uint64_t seed = 1;
+  int vars = 0;
+  std::size_t clauses = 0;
   for (auto _ : state) {
     state.PauseTiming();
     f2::Rng rng(seed++);
@@ -33,7 +36,11 @@ void run_reconstruction(benchmark::State& state, sat::CardEncoding enc_kind) {
     opt.max_solutions = 1;
     auto result = rec.reconstruct(entry, opt);
     benchmark::DoNotOptimize(result.signals.size());
+    vars = result.num_vars;
+    clauses = result.num_clauses;
   }
+  state.counters["vars"] = vars;
+  state.counters["clauses"] = static_cast<double>(clauses);
 }
 
 void BM_SinzSequentialCounter(benchmark::State& state) {

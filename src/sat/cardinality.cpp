@@ -1,44 +1,11 @@
 #include "sat/cardinality.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tp::sat {
 
 namespace {
-
-// Sinz's sequential counter (LT-SEQ) for "at most k of lits". Introduces
-// registers s[i][j] meaning "at least j+1 of lits[0..i] are true".
-bool sinz_at_most(SolverInterface& s, const std::vector<Lit>& lits, int k) {
-  const int n = static_cast<int>(lits.size());
-  assert(k >= 1 && k < n);
-
-  // s_vars[i][j] for i in [0, n-2], j in [0, k-1].
-  std::vector<std::vector<Lit>> reg(static_cast<std::size_t>(n - 1));
-  for (auto& row : reg) {
-    row.reserve(static_cast<std::size_t>(k));
-    for (int j = 0; j < k; ++j) row.push_back(mk_lit(s.new_var()));
-  }
-
-  bool ok = true;
-  auto add = [&](std::vector<Lit> c) { ok = s.add_clause(std::move(c)) && ok; };
-
-  add({~lits[0], reg[0][0]});
-  for (int j = 1; j < k; ++j) add({~reg[0][static_cast<std::size_t>(j)]});
-  for (int i = 1; i < n - 1; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    add({~lits[ui], reg[ui][0]});
-    add({~reg[ui - 1][0], reg[ui][0]});
-    for (int j = 1; j < k; ++j) {
-      const auto uj = static_cast<std::size_t>(j);
-      add({~lits[ui], ~reg[ui - 1][uj - 1], reg[ui][uj]});
-      add({~reg[ui - 1][uj], reg[ui][uj]});
-    }
-    add({~lits[ui], ~reg[ui - 1][static_cast<std::size_t>(k - 1)]});
-  }
-  add({~lits[static_cast<std::size_t>(n - 1)],
-       ~reg[static_cast<std::size_t>(n - 2)][static_cast<std::size_t>(k - 1)]});
-  return ok;
-}
 
 // Recursive totalizer build over lits[lo, hi).
 std::vector<Lit> totalizer_build(SolverInterface& s, const std::vector<Lit>& lits,
@@ -85,7 +52,49 @@ std::vector<Lit> totalizer_build(SolverInterface& s, const std::vector<Lit>& lit
   return r;
 }
 
+// The unary outputs of `enc` over `lits`, capped at `cap`.
+std::vector<Lit> outputs(SolverInterface& s, const std::vector<Lit>& lits, int cap,
+                         CardEncoding enc) {
+  return enc == CardEncoding::SequentialCounter ? sequential_outputs(s, lits, cap)
+                                                : totalizer_outputs(s, lits, cap);
+}
+
 }  // namespace
+
+std::vector<Lit> sequential_outputs(SolverInterface& solver, const std::vector<Lit>& lits,
+                                    int cap) {
+  assert(cap >= 1);
+  if (lits.empty()) return {};
+  // prev is row i-1 of the registers; r[i-1][j] for j >= prev.size() is
+  // constant false and never built, and row 0 is the first input itself.
+  std::vector<Lit> prev = {lits[0]};
+  std::vector<Lit> row;
+  for (std::size_t i = 1; i < lits.size(); ++i) {
+    const Lit x = lits[i];
+    row.resize(std::min(static_cast<std::size_t>(cap), i + 1));
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      // r[i][j] <=> r[i-1][j] | (x & r[i-1][j-1]), with r[i-1][-1] true.
+      const Lit r = mk_lit(solver.new_var());
+      row[j] = r;
+      const bool had = j < prev.size();
+      if (had) {
+        solver.add_clause({~prev[j], r});
+        solver.add_clause({~r, prev[j], x});
+        if (j > 0) solver.add_clause({~r, prev[j], prev[j - 1]});
+      } else {
+        solver.add_clause({~r, x});
+        solver.add_clause({~r, prev[j - 1]});  // j == i >= 1 here
+      }
+      if (j == 0) {
+        solver.add_clause({~x, r});
+      } else {
+        solver.add_clause({~x, ~prev[j - 1], r});
+      }
+    }
+    std::swap(prev, row);
+  }
+  return prev;
+}
 
 std::vector<Lit> totalizer_outputs(SolverInterface& solver, const std::vector<Lit>& lits,
                                    int cap) {
@@ -105,12 +114,8 @@ bool encode_at_most(SolverInterface& solver, const std::vector<Lit>& lits, int k
     for (Lit l : lits) ok = solver.add_clause({~l}) && ok;
     return ok;
   }
-  if (enc == CardEncoding::SequentialCounter) return sinz_at_most(solver, lits, k);
-  const std::vector<Lit> outs = totalizer_outputs(solver, lits, k + 1);
-  if (static_cast<int>(outs.size()) >= k + 1) {
-    return solver.add_clause({~outs[static_cast<std::size_t>(k)]});
-  }
-  return solver.okay();
+  const std::vector<Lit> outs = outputs(solver, lits, k + 1, enc);
+  return solver.add_clause({~outs[static_cast<std::size_t>(k)]});
 }
 
 bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, int k,
@@ -118,13 +123,7 @@ bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, int 
   const int n = static_cast<int>(lits.size());
   if (k <= 0) return solver.okay();
   if (k > n) return solver.add_clause({});  // impossible
-  if (enc == CardEncoding::SequentialCounter) {
-    std::vector<Lit> negated;
-    negated.reserve(lits.size());
-    for (Lit l : lits) negated.push_back(~l);
-    return encode_at_most(solver, negated, n - k, enc);
-  }
-  const std::vector<Lit> outs = totalizer_outputs(solver, lits, k);
+  const std::vector<Lit> outs = outputs(solver, lits, k, enc);
   return solver.add_clause({outs[static_cast<std::size_t>(k - 1)]});
 }
 
@@ -132,18 +131,13 @@ bool encode_exactly(SolverInterface& solver, const std::vector<Lit>& lits, int k
                     CardEncoding enc) {
   const int n = static_cast<int>(lits.size());
   if (k < 0 || k > n) return solver.add_clause({});  // impossible
-  if (enc == CardEncoding::Totalizer && n > 0 && k >= 1) {
-    // One shared totalizer serves both bounds.
-    const std::vector<Lit> outs = totalizer_outputs(solver, lits, k + 1);
-    bool ok = solver.add_clause({outs[static_cast<std::size_t>(k - 1)]});
-    if (static_cast<int>(outs.size()) >= k + 1) {
-      ok = solver.add_clause({~outs[static_cast<std::size_t>(k)]}) && ok;
-    }
-    return ok;
-  }
-  const bool ok1 = encode_at_most(solver, lits, k, enc);
-  const bool ok2 = encode_at_least(solver, lits, k, enc);
-  return ok1 && ok2;
+  if (k == 0) return encode_at_most(solver, lits, 0, enc);
+  // One counter serves both bounds: o[k-1] (at least k) and ¬o[k] (at
+  // most k); o[k] exists only when k < n.
+  const std::vector<Lit> outs = outputs(solver, lits, k + 1, enc);
+  bool ok = solver.add_clause({outs[static_cast<std::size_t>(k - 1)]});
+  if (k < n) ok = solver.add_clause({~outs[static_cast<std::size_t>(k)]}) && ok;
+  return ok;
 }
 
 }  // namespace tp::sat

@@ -6,6 +6,15 @@
 // clauses; the paper instead uses Sinz's sequential-counter encoding [20],
 // which introduces O(m·k) auxiliary variables and clauses. We implement
 // that, plus Bailleux–Boufkhad's totalizer as an ablation alternative.
+//
+// The sequential counter over n inputs builds registers r[i][j] meaning
+// "at least j+1 of lits[0..i] are true" (j < cap), with both implication
+// directions, so its last row is a unary count o[j] = r[n-1][j]. Every
+// bound is a unit on those outputs: exactly-k is o[k-1] and ¬o[k] over one
+// counter with cap k+1, i.e. at most n·(k+1) registers and about
+// 4·n·(k+1) clauses. Both encodings expose the same unary outputs
+// (sequential_outputs / totalizer_outputs). The incremental template
+// engine (timeprint/incremental.hpp) still uses the totalizer.
 
 #include <vector>
 
@@ -32,6 +41,14 @@ bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, int 
 /// Constrain exactly k of `lits` to be true.
 bool encode_exactly(SolverInterface& solver, const std::vector<Lit>& lits, int k,
                     CardEncoding enc = CardEncoding::SequentialCounter);
+
+/// Build a sequential counter over `lits` and return its unary output
+/// literals o[0..min(cap, n)-1], where o[j] is true iff at least j+1 of the
+/// inputs are true (both implication directions are encoded). Row i holds
+/// min(cap, i+1) registers and row 0 is lits[0] itself, so at most
+/// (n-1)·cap fresh variables are introduced.
+std::vector<Lit> sequential_outputs(SolverInterface& solver, const std::vector<Lit>& lits,
+                                    int cap);
 
 /// Build a totalizer over `lits` and return its unary output literals
 /// o[0..cap-1], where o[j] is true iff at least j+1 of the inputs are true

@@ -1,6 +1,7 @@
 #include "sat/dimacs.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -8,6 +9,14 @@
 #include <string>
 
 namespace tp::sat {
+
+namespace {
+
+// Largest variable index or count the parser accepts (Cnf::num_vars is an
+// int).
+constexpr long kMaxVar = INT_MAX;
+
+}  // namespace
 
 bool Cnf::load_into(SolverInterface& solver) const {
   while (solver.num_vars() < num_vars) solver.new_var();
@@ -79,7 +88,13 @@ Cnf parse_dimacs(std::istream& in) {
       if (vars < 0 || clauses < 0) {
         throw DimacsError(lineno, "negative count in problem line");
       }
-      cnf.num_vars = static_cast<int>(vars);
+      if (vars > kMaxVar || clauses > kMaxVar) {
+        throw DimacsError(lineno, "count in problem line exceeds " +
+                                      std::to_string(kMaxVar));
+      }
+      // The header's counts are only checked: num_vars grows from the
+      // literals the body references, so a huge declared count allocates
+      // nothing.
       continue;
     }
     const bool is_xor = line[0] == 'x';
@@ -92,6 +107,10 @@ Cnf parse_dimacs(std::istream& in) {
       if (v == 0) {
         terminated = true;
         break;
+      }
+      if (v > kMaxVar || v < -kMaxVar) {
+        throw DimacsError(lineno, "literal " + std::to_string(v) + " exceeds " +
+                                      std::to_string(kMaxVar));
       }
       const Var var = static_cast<Var>(std::labs(v)) - 1;
       cnf.ensure_var(var);

@@ -57,8 +57,11 @@ struct Cnf {
 
 /// Parse extended DIMACS. Throws DimacsError (a std::runtime_error whose
 /// message carries the offending 1-based line number) on malformed input:
-/// a bad problem line, a clause without its terminating 0, non-numeric
-/// junk inside a clause, or tokens after the terminating 0.
+/// a bad problem line (including a count above INT_MAX), a literal whose
+/// magnitude exceeds INT_MAX, a clause without its terminating 0, non-numeric junk inside a
+/// clause, or tokens after the terminating 0. num_vars is the largest
+/// variable the body references; the header's counts are checked but not
+/// trusted.
 Cnf parse_dimacs(std::istream& in);
 
 /// Write extended DIMACS.

@@ -20,8 +20,9 @@
 //     totalizer is built to k_max; its unary outputs o[j] ("at least j+1
 //     inputs true", both implication directions encoded) turn |x| = k
 //     into the two assumptions o[k-1] and ~o[k], so k varies per entry
-//     with no re-encoding. (The Sinz counter hard-codes its bound, which
-//     is why the template path always uses the totalizer.)
+//     with no re-encoding. (sat::sequential_outputs exposes the same
+//     unary outputs; the template keeps the totalizer because no bench
+//     row has measured the sequential counter under assumptions.)
 //  3. *Guard-literal retirement.* AllSAT blocking clauses carry a
 //     per-entry guard literal (AllSatOptions::guard); after the entry's
 //     enumeration the guard is permanently falsified, which satisfies all

@@ -11,8 +11,12 @@
 // The SAT encoding introduces one variable per clock cycle; each bit j of
 // the linear system becomes one XOR clause over the variables whose
 // timestamp has bit j set (negated when TP's bit j is 0); the cardinality
-// constraint |x| = k uses Sinz's sequential counter; known temporal
-// properties add their clauses to prune the search (paper §5.1.3). Models
+// constraint |x| = k uses Sinz's sequential counter, whose registers
+// r[i][j] mean "at least j+1 of the first i+1 cycle variables are true"
+// (both directions), so |x| = k is two units on its last row over at most
+// m·(k+1) registers (sat/cardinality.hpp); the incremental template
+// engine uses the totalizer instead. Known temporal properties add their
+// clauses to prune the search (paper §5.1.3). Models
 // are enumerated with blocking clauses, projected onto the cycle
 // variables.
 

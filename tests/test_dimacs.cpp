@@ -71,6 +71,32 @@ TEST(Dimacs, RejectsMalformedHeader) {
             std::string::npos);
 }
 
+TEST(Dimacs, HeaderCountsAreCheckedNotTrusted) {
+  // A huge but representable declared count allocates nothing: num_vars
+  // comes from the literals the body references.
+  std::istringstream in("p cnf 2000000000 1\n1 -3 0\n");
+  const Cnf cnf = parse_dimacs(in);
+  EXPECT_EQ(cnf.num_vars, 3);
+  Solver s;
+  ASSERT_TRUE(cnf.load_into(s));
+  EXPECT_EQ(s.num_vars(), 3);
+  EXPECT_EQ(s.solve(), Status::Sat);
+
+  // Counts and literals that do not fit an int are rejected, not wrapped.
+  const DimacsError vars = parse_error("p cnf 2147483648 1\n1 0\n");
+  EXPECT_EQ(vars.line(), 1u);
+  EXPECT_NE(std::string(vars.what()).find("exceeds"), std::string::npos);
+  const DimacsError clauses = parse_error("p cnf 1 4294967297\n1 0\n");
+  EXPECT_EQ(clauses.line(), 1u);
+  const DimacsError literal = parse_error("p cnf 1 1\n-2147483648 0\n");
+  EXPECT_EQ(literal.line(), 2u);
+  EXPECT_NE(std::string(literal.what()).find("literal"), std::string::npos);
+
+  // INT_MAX itself is a valid count.
+  std::istringstream at_max("p cnf 2147483647 0\n");
+  EXPECT_EQ(parse_dimacs(at_max).num_vars, 0);
+}
+
 TEST(Dimacs, RejectsUnterminatedClause) {
   std::istringstream in("p cnf 2 1\n1 2\n");
   EXPECT_THROW(parse_dimacs(in), std::runtime_error);

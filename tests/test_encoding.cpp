@@ -158,6 +158,11 @@ struct SchemeCase {
   const char* name;
 };
 
+// Without this, gtest names each case by a byte dump of SchemeCase, which
+// holds a pointer and padding, so the discovered ctest names change from
+// build to build (and run to run, under address-space randomisation).
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.name; }
+
 class SchemeNameTest : public ::testing::TestWithParam<SchemeCase> {};
 
 TEST_P(SchemeNameTest, ToString) {

@@ -10,6 +10,7 @@
 #include "f2/matrix.hpp"
 #include "obs/trace.hpp"
 #include "sat/drat.hpp"
+#include "timeprint/design.hpp"
 #include "timeprint/galois.hpp"
 #include "timeprint/reconstruct.hpp"
 #include "timeprint/verify.hpp"
@@ -278,6 +279,25 @@ TEST(Reconstruct, StatsArePopulated) {
   EXPECT_EQ(result.seconds_to_each.size(), result.signals.size());
 }
 
+TEST(Reconstruct, PresolvedEncodingSizeIsLinearInK) {
+  // The paper path (presolve, native XOR, sequential counter) at m = 128:
+  // the exactly-k counter adds at most m·(k+1) registers to the m cycle
+  // variables.
+  constexpr std::size_t m = 128;
+  constexpr std::size_t k = 6;
+  const auto enc = TimestampEncoding::random_constrained(m, paper_width(m), 4, 42);
+  Logger logger(enc);
+  f2::Rng rng(3);
+  const LogEntry entry = logger.log(Signal::random_with_changes(m, k, rng));
+  Reconstructor rec(enc);
+  ReconstructionOptions opt;
+  opt.max_solutions = 1;
+  const auto result = rec.reconstruct(entry, opt);
+  ASSERT_EQ(result.signals.size(), 1u);
+  EXPECT_GT(result.num_vars, static_cast<int>(m));  // a SAT decode, not enumeration
+  EXPECT_LE(result.num_vars, static_cast<int>(m + m * (k + 1)));
+}
+
 TEST(Reconstruct, TrivialUnsatEncodingShortCircuitsEnumeration) {
   // k > m makes the cardinality constraint contradictory at encode time;
   // reconstruct() must report a complete empty preimage without spinning
@@ -406,6 +426,61 @@ TEST(ReconstructProof, CompletedEnumerationCertified) {
       rec.reconstruct({f2::BitVec::from_string("00000001"), 4}, opt);
   ASSERT_TRUE(result.complete());
   EXPECT_EQ(result.signals.size(), 8u);
+  expect_certified_refutation(proof);
+}
+
+// At m = 64 the XOR rows (~32 variables) exceed the proof logger's XOR
+// arity, so the certified decode chains them in CNF.
+ReconstructionOptions chained_proof_options(sat::MemoryProof& proof) {
+  ReconstructionOptions opt = proof_options(proof);
+  opt.native_xor = false;
+  return opt;
+}
+
+TEST(ReconstructProof, KInfeasibleEntryCertifiedAtM64) {
+  // A timeprint of a real 3-change signal (so A·x = TP is consistent)
+  // logged with k = 2, where no pair of timestamps sums to it: only the
+  // cardinality counter's clauses refute it.
+  constexpr std::size_t m = 64;
+  const auto enc = TimestampEncoding::random_constrained(m, paper_width(m), 4, 7);
+  Logger logger(enc);
+  f2::Rng rng(11);
+  LogEntry entry;
+  do {
+    entry = {logger.log(Signal::random_with_changes(m, 3, rng)).tp, 2};
+  } while (!Reconstructor::brute_force(enc, entry).empty());
+
+  Reconstructor rec(enc);
+  sat::MemoryProof proof;
+  const auto result = rec.reconstruct(entry, chained_proof_options(proof));
+  EXPECT_EQ(result.final_status, sat::Status::Unsat);
+  EXPECT_TRUE(result.signals.empty());
+  expect_certified_refutation(proof);
+}
+
+TEST(ReconstructProof, DeadlineHypothesisCertifiedAtM64) {
+  // Dk: every 3-change preimage has all its changes before `deadline`, so
+  // MinChangesBefore(deadline, 3) holds; the refutation of its negation
+  // (at most 2 changes before the deadline) runs through two counters.
+  constexpr std::size_t m = 64;
+  const auto enc = TimestampEncoding::random_constrained(m, paper_width(m), 4, 7);
+  Logger logger(enc);
+  f2::Rng rng(5);
+  LogEntry entry;
+  std::size_t deadline = m;
+  while (deadline >= m) {
+    entry = logger.log(Signal::random_with_changes(m, 3, rng));
+    deadline = 0;
+    for (const Signal& s : Reconstructor::brute_force(enc, entry)) {
+      deadline = std::max(deadline, s.change_cycles().back() + 1);
+    }
+  }
+
+  Reconstructor rec(enc);
+  sat::MemoryProof proof;
+  const MinChangesBefore hyp(deadline, 3);
+  const auto check = rec.check_hypothesis(entry, hyp, chained_proof_options(proof));
+  EXPECT_EQ(check.verdict, CheckVerdict::HoldsForAll);
   expect_certified_refutation(proof);
 }
 
