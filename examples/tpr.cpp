@@ -55,6 +55,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,6 +95,38 @@ sat::Cnf read_cnf(const char* path) {
   if (!in) throw std::runtime_error(std::string("cannot open ") + path);
   return sat::parse_dimacs(in);
 }
+
+// Forwards a proof in the file's own variable numbering: solver variable i
+// is file variable file_vars[i], and variables the solver adds beyond
+// those get fresh numbers after the file's largest.
+class FileNumberedProof : public sat::ProofSink {
+ public:
+  FileNumberedProof(std::unique_ptr<sat::ProofSink> out, std::vector<sat::Var> file_vars,
+                    int num_vars)
+      : out_(std::move(out)), file_vars_(std::move(file_vars)), num_vars_(num_vars) {}
+
+  void axiom(const std::vector<sat::Lit>& lits) override { out_->axiom(rename(lits)); }
+  void add(const std::vector<sat::Lit>& lits) override { out_->add(rename(lits)); }
+  void del(const std::vector<sat::Lit>& lits) override { out_->del(rename(lits)); }
+
+ private:
+  const std::vector<sat::Lit>& rename(const std::vector<sat::Lit>& lits) {
+    renamed_.clear();
+    for (const sat::Lit l : lits) {
+      const auto v = static_cast<std::size_t>(l.var());
+      const sat::Var file =
+          v < file_vars_.size() ? file_vars_[v]
+                                : num_vars_ + static_cast<sat::Var>(v - file_vars_.size());
+      renamed_.push_back(sat::Lit(file, l.negated()));
+    }
+    return renamed_;
+  }
+
+  std::unique_ptr<sat::ProofSink> out_;
+  std::vector<sat::Var> file_vars_;
+  int num_vars_;
+  std::vector<sat::Lit> renamed_;
+};
 
 // tpr solve: DIMACS in, verdict (and optionally a DRAT proof) out.
 int cmd_solve(int argc, char** argv) {
@@ -133,6 +167,13 @@ int cmd_solve(int argc, char** argv) {
     }
   }
 
+  // The solver numbers only the variables load_into gives it; the model
+  // and the proof are reported in the file's numbering.
+  const std::vector<sat::Var> file_vars = cnf.file_vars();
+  if (sink && file_vars.size() != static_cast<std::size_t>(cnf.num_vars)) {
+    sink = std::make_unique<FileNumberedProof>(std::move(sink), file_vars, cnf.num_vars);
+  }
+
   sat::SolverOptions so;
   so.proof = sink.get();
   so.preprocess = preprocess;
@@ -145,11 +186,11 @@ int cmd_solve(int argc, char** argv) {
                                                        : "UNKNOWN");
   if (status == sat::Status::Sat) {
     std::string line = "v";
-    for (int v = 0; v < cnf.num_vars; ++v) {
+    for (std::size_t v = 0; v < file_vars.size(); ++v) {
+      const long lit = file_vars[v] + 1L;
       line += ' ';
       line += std::to_string(
-          solver->model_value(sat::Var(v)) == sat::LBool::True ? v + 1
-                                                               : -(v + 1));
+          solver->model_value(sat::Var(v)) == sat::LBool::True ? lit : -lit);
     }
     std::printf("%s 0\n", line.c_str());
   }

@@ -177,13 +177,34 @@ bool Matrix::linearly_independent(const std::vector<BitVec>& vectors) {
 }
 
 LiChecker::LiChecker(std::size_t dim, std::size_t depth)
-    : dim_(dim), depth_(depth) {
+    : LiChecker(dim, depth, dim <= kMaxPackedDim) {}
+
+LiChecker LiChecker::reference(std::size_t dim, std::size_t depth) {
+  return LiChecker(dim, depth, false);
+}
+
+LiChecker::LiChecker(std::size_t dim, std::size_t depth, bool packed)
+    : dim_(dim), depth_(depth), packed_(packed) {
   assert(depth >= 1 && depth <= 4);
+  if (packed_ && depth_ >= 2) seen_.assign(((std::size_t{1} << dim_) + 63) / 64, 0);
 }
 
 bool LiChecker::can_add(const BitVec& candidate) const {
   assert(candidate.size() == dim_);
   if (candidate.is_zero()) return false;                       // depth 1
+  if (packed_) {
+    // seen_ holds S (depth >= 2) and S ^ S (depth >= 3). A depth-4 hit
+    // v ^ a == c on a member c would mean v == a ^ c, which the first
+    // test already rejected, so sharing one bitmap is exact.
+    const std::uint64_t v = candidate.to_uint();
+    if (depth_ >= 2 && seen(v)) return false;
+    if (depth_ >= 4) {
+      for (const std::uint64_t a : words_) {
+        if (seen(v ^ a)) return false;
+      }
+    }
+    return true;
+  }
   if (depth_ >= 2 && member_set_.contains(candidate)) return false;
   if (depth_ >= 3 && pair_xors_.contains(candidate)) return false;
   if (depth_ >= 4) {
@@ -198,6 +219,18 @@ bool LiChecker::can_add(const BitVec& candidate) const {
 
 void LiChecker::add(const BitVec& v) {
   assert(can_add(v));
+  if (packed_) {
+    const std::uint64_t w = v.to_uint();
+    if (depth_ >= 3) {
+      // v ^ a is never a member (can_add), so every newly set bit is a
+      // new pairwise XOR.
+      for (const std::uint64_t a : words_) packed_pair_xors_ += mark(w ^ a);
+    }
+    if (depth_ >= 2) mark(w);
+    words_.push_back(w);
+    members_.push_back(v);
+    return;
+  }
   // Each auxiliary set is maintained only at the depths whose can_add
   // consults it; below that it would be pure O(|S|^2) ballast.
   if (depth_ >= 3) {

@@ -9,6 +9,7 @@
 // 2^(m - rank) elements. The SAT layer adds the cardinality constraint.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -100,17 +101,38 @@ class Matrix {
 
 /// Incrementally maintained check that every subset of size <= depth of a
 /// growing set of vectors stays linearly independent ("LI-d" in the paper,
-/// §4.3). Supports depth 2..4. Equivalent characterisations used:
+/// §4.3). Supports depth 1..4. Equivalent characterisations used:
 ///   depth 1: no zero vector;
 ///   depth 2: all vectors distinct (and nonzero);
 ///   depth 3: v ∉ {a ^ b} for existing pairs;
 ///   depth 4: v ^ a ∉ {b ^ c}  (all pairwise XORs distinct).
 /// The pairwise-XOR set makes the depth-4 check O(|S|) per candidate
 /// instead of O(|S|^3).
+///
+/// Storage depends only on the width, never on the answers, which are the
+/// same on both paths:
+///  * word-packed (dim <= kMaxPackedDim): members are uint64_t words and
+///    the members plus their pairwise XORs share one flat bitmap over
+///    F2^dim (2^dim bits, at most 8 MiB; only at depth >= 2). A candidate
+///    costs one bit test, plus one per member at depth 4, with no
+///    allocation; add() sets one bit per member.
+///  * hash-set (wider, or reference()): unordered_sets of BitVecs, one
+///    heap node per member and per pairwise XOR. A candidate costs one
+///    BitVec temporary and one hash probe per member at depth 4.
+/// The cutoff is where the bitmap stops paying: at dim = 26 it is 8 MiB,
+/// against ~55 MB of set nodes for the m = 1024 LI-4 encoding, and each
+/// extra bit doubles it.
 class LiChecker {
  public:
+  /// Widest dimension stored word-packed.
+  static constexpr std::size_t kMaxPackedDim = 26;
+
   /// depth must be in [1, 4]; dim is the vector dimension b.
   LiChecker(std::size_t dim, std::size_t depth);
+
+  /// A checker on the hash-set path at any width: the reference the
+  /// word-packed path is tested against.
+  static LiChecker reference(std::size_t dim, std::size_t depth);
 
   /// True iff the current set plus `candidate` would still be LI-depth.
   bool can_add(const BitVec& candidate) const;
@@ -124,14 +146,35 @@ class LiChecker {
   /// The vectors added so far, in insertion order.
   const std::vector<BitVec>& members() const { return members_; }
 
-  /// Size of the pairwise-XOR set. Only depths >= 3 consult the set, so
-  /// lower depths keep it empty rather than paying its O(|S|^2) memory.
-  std::size_t pair_xor_count() const { return pair_xors_.size(); }
+  /// Number of distinct pairwise XORs. Only depths >= 3 consult them, so
+  /// lower depths keep none rather than paying O(|S|^2) bookkeeping.
+  std::size_t pair_xor_count() const {
+    return packed_ ? packed_pair_xors_ : pair_xors_.size();
+  }
+
+  /// True iff this checker stores its set word-packed.
+  bool packed() const { return packed_; }
 
  private:
+  LiChecker(std::size_t dim, std::size_t depth, bool packed);
+
+  bool seen(std::uint64_t x) const { return (seen_[x >> 6] >> (x & 63)) & 1u; }
+  /// Sets bit x of seen_; true iff it was clear.
+  bool mark(std::uint64_t x) {
+    const bool fresh = !seen(x);
+    seen_[x >> 6] |= std::uint64_t{1} << (x & 63);
+    return fresh;
+  }
+
   std::size_t dim_;
   std::size_t depth_;
+  bool packed_;
   std::vector<BitVec> members_;
+  // Word-packed path.
+  std::vector<std::uint64_t> words_;  // members_, one word each
+  std::vector<std::uint64_t> seen_;   // bitmap: members and pairwise XORs
+  std::size_t packed_pair_xors_ = 0;
+  // Hash-set path.
   std::unordered_set<BitVec> member_set_;
   std::unordered_set<BitVec> pair_xors_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,14 +13,38 @@ namespace tp::sat {
 
 namespace {
 
-// Largest variable index or count the parser accepts (Cnf::num_vars is an
-// int).
+// Largest count the parser accepts (Cnf::num_vars is an int).
 constexpr long kMaxVar = INT_MAX;
+// Largest literal magnitude: a Lit packs 2·var + sign into an int.
+constexpr long kMaxLiteral = INT_MAX / 2 + 1;
 
 }  // namespace
 
+std::vector<Var> Cnf::file_vars() const {
+  std::vector<Var> used;
+  if (num_vars > kDenseSlack) {
+    for (const auto& c : clauses) {
+      for (Lit l : c) used.push_back(l.var());
+    }
+    for (const auto& x : xors) used.insert(used.end(), x.first.begin(), x.first.end());
+    std::sort(used.begin(), used.end());
+    used.erase(std::unique(used.begin(), used.end()), used.end());
+    if (static_cast<std::size_t>(num_vars) > 2 * used.size() + kDenseSlack) return used;
+  }
+  used.resize(static_cast<std::size_t>(num_vars));
+  std::iota(used.begin(), used.end(), Var{0});
+  return used;
+}
+
 bool Cnf::load_into(SolverInterface& solver) const {
-  while (solver.num_vars() < num_vars) solver.new_var();
+  const std::vector<Var> vars = file_vars();
+  const bool identity = vars.size() == static_cast<std::size_t>(num_vars);
+  // The renumbering is monotone, so it keeps each clause's sort order.
+  const auto to_solver = [&](Var v) {
+    if (identity) return v;
+    return static_cast<Var>(std::lower_bound(vars.begin(), vars.end(), v) - vars.begin());
+  };
+  while (solver.num_vars() < static_cast<int>(vars.size())) solver.new_var();
   bool ok = true;
   // Canonicalize each clause before it reaches the solver: drop
   // tautologies outright and merge duplicate literals. DIMACS inputs from
@@ -29,7 +54,8 @@ bool Cnf::load_into(SolverInterface& solver) const {
   // fed the canonical form.
   std::vector<Lit> canon;
   for (const auto& c : clauses) {
-    canon.assign(c.begin(), c.end());
+    canon.clear();
+    for (Lit l : c) canon.push_back(Lit(to_solver(l.var()), l.negated()));
     std::sort(canon.begin(), canon.end());
     bool tautology = false;
     Lit prev = lit_undef;
@@ -47,7 +73,12 @@ bool Cnf::load_into(SolverInterface& solver) const {
     canon.resize(keep);
     ok = solver.add_clause(canon) && ok;
   }
-  for (const auto& [vars, rhs] : xors) ok = solver.add_xor(vars, rhs) && ok;
+  std::vector<Var> xor_vars;
+  for (const auto& [file_xor_vars, rhs] : xors) {
+    xor_vars.clear();
+    for (Var v : file_xor_vars) xor_vars.push_back(to_solver(v));
+    ok = solver.add_xor(xor_vars, rhs) && ok;
+  }
   return ok;
 }
 
@@ -108,9 +139,9 @@ Cnf parse_dimacs(std::istream& in) {
         terminated = true;
         break;
       }
-      if (v > kMaxVar || v < -kMaxVar) {
+      if (v > kMaxLiteral || v < -kMaxLiteral) {
         throw DimacsError(lineno, "literal " + std::to_string(v) + " exceeds " +
-                                      std::to_string(kMaxVar));
+                                      std::to_string(kMaxLiteral));
       }
       const Var var = static_cast<Var>(std::labs(v)) - 1;
       cnf.ensure_var(var);

@@ -47,9 +47,22 @@ struct Cnf {
     if (v + 1 > num_vars) num_vars = v + 1;
   }
 
-  /// Add every clause and XOR to a solver (native XOR path). Returns false
-  /// iff the solver became unsatisfiable.
+  /// The file variable behind each solver variable load_into creates, in
+  /// increasing order. This is the identity 0..num_vars-1 while num_vars
+  /// is at most twice the number of distinct variables the clauses and
+  /// XORs reference plus kDenseSlack, so dense files and hand-built
+  /// problems keep their numbering. Beyond that only the referenced
+  /// variables get solver variables: a body naming variable 1e9 once costs
+  /// one solver variable, not 1e9.
+  std::vector<Var> file_vars() const;
+
+  /// Add every clause and XOR to a solver (native XOR path), file variable
+  /// file_vars()[i] as solver variable i. Returns false iff the solver
+  /// became unsatisfiable.
   bool load_into(SolverInterface& solver) const;
+
+  /// Unreferenced variables file_vars() keeps solver variables for.
+  static constexpr int kDenseSlack = 1024;
 
   /// True iff the given full assignment satisfies all clauses and XORs.
   bool satisfied_by(const std::vector<bool>& assignment) const;
@@ -58,8 +71,9 @@ struct Cnf {
 /// Parse extended DIMACS. Throws DimacsError (a std::runtime_error whose
 /// message carries the offending 1-based line number) on malformed input:
 /// a bad problem line (including a count above INT_MAX), a literal whose
-/// magnitude exceeds INT_MAX, a clause without its terminating 0, non-numeric junk inside a
-/// clause, or tokens after the terminating 0. num_vars is the largest
+/// magnitude exceeds 2^30 (the largest variable a Lit can name), a clause
+/// without its terminating 0, non-numeric junk inside a clause, or tokens
+/// after the terminating 0. num_vars is the largest
 /// variable the body references; the header's counts are checked but not
 /// trusted.
 Cnf parse_dimacs(std::istream& in);

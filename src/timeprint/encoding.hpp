@@ -14,6 +14,11 @@
 //    preserve LI-d;
 //  * incremental — lexicographic greedy ("start from the smallest value,
 //    increment, keep if LI-d still holds"), a greedy lexicode.
+// Both keep a candidate iff f2::LiChecker accepts it, a pure function of
+// the timestamps kept so far. Their output (and the RNG stream drawn) is
+// therefore independent of how the checker stores its set: the
+// word-packed bitmap at b <= 26 and the hash-set path above it return
+// bit-identical encodings.
 
 #include <cstdint>
 #include <optional>

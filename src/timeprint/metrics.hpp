@@ -7,8 +7,8 @@
 // of small timestamp combinations (a lower bound witness on the code
 // distance: LI-4 <=> no <=4-subset sums to zero <=> distance >= 5 of the
 // associated code), and how densely the encoding packs the b-bit space.
-// These feed design-space exploration (bench_ablation_depth) and sanity
-// checks in tests.
+// Their only caller is tests/test_metrics.cpp, which pins them as sanity
+// checks on the encodings; no bench or example includes this header.
 
 #include <cstddef>
 

@@ -92,9 +92,49 @@ TEST(Dimacs, HeaderCountsAreCheckedNotTrusted) {
   EXPECT_EQ(literal.line(), 2u);
   EXPECT_NE(std::string(literal.what()).find("literal"), std::string::npos);
 
+  // A literal must fit a Lit (2·var + sign in an int): 2^30 is the
+  // largest magnitude; 2e9 used to wrap into a negative literal code.
+  std::istringstream lit_max("p cnf 1 1\n-1073741824 0\n");
+  EXPECT_EQ(parse_dimacs(lit_max).clauses.front().front(), Lit(1073741823, true));
+  const DimacsError wide = parse_error("p cnf 1 1\n2000000000 0\n");
+  EXPECT_EQ(wide.line(), 2u);
+  EXPECT_NE(std::string(wide.what()).find("exceeds 1073741824"), std::string::npos);
+
   // INT_MAX itself is a valid count.
   std::istringstream at_max("p cnf 2147483647 0\n");
   EXPECT_EQ(parse_dimacs(at_max).num_vars, 0);
+}
+
+TEST(Dimacs, LoadAllocatesOnlyReferencedVariables) {
+  // One literal naming variable 1e9 used to make load_into allocate 1e9
+  // solver variables and end in std::bad_alloc.
+  std::istringstream in("p cnf 1 1\n1000000000 0\n");
+  const Cnf cnf = parse_dimacs(in);
+  EXPECT_EQ(cnf.num_vars, 1000000000);
+  EXPECT_EQ(cnf.file_vars(), std::vector<Var>{999999999});
+  Solver s;
+  ASSERT_TRUE(cnf.load_into(s));
+  EXPECT_EQ(s.num_vars(), 1);
+  ASSERT_EQ(s.solve(), Status::Sat);
+  EXPECT_EQ(s.model_value(0), LBool::True);
+
+  // Sparse clauses and XORs keep their meaning under the monotone
+  // renumbering 1 -> 0, 5000 -> 1, 9000 -> 2.
+  std::istringstream sparse("p cnf 9000 3\n1 -5000 0\nx5000 9000 0\n-1 0\n");
+  const Cnf gaps = parse_dimacs(sparse);
+  EXPECT_EQ(gaps.file_vars(), (std::vector<Var>{0, 4999, 8999}));
+  Solver t;
+  ASSERT_TRUE(gaps.load_into(t));
+  EXPECT_EQ(t.num_vars(), 3);
+  ASSERT_EQ(t.solve(), Status::Sat);
+  EXPECT_EQ(t.model_value(0), LBool::False);
+  EXPECT_EQ(t.model_value(1), LBool::False);
+  EXPECT_EQ(t.model_value(2), LBool::True);
+
+  // Numbering within 2x the referenced count plus kDenseSlack stays the
+  // identity, unreferenced variables included.
+  std::istringstream dense("p cnf 1000 1\n1000 0\n");
+  EXPECT_EQ(parse_dimacs(dense).file_vars().size(), 1000u);
 }
 
 TEST(Dimacs, RejectsUnterminatedClause) {

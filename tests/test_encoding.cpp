@@ -111,6 +111,45 @@ TEST(Encoding, VerifyLiDetectsViolation) {
   EXPECT_FALSE(enc.verify_li(3));  // 3 = 1 XOR 2
 }
 
+// FNV-1a over the timestamp words: pins the exact encodings below.
+std::uint64_t content_hash(const TimestampEncoding& enc) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& ts : enc.timestamps()) {
+    for (const std::uint64_t w : ts.words()) {
+      h ^= w;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden: the constructions' output depends only on the seed and the
+// accept/reject rule, never on how LiChecker stores its set. The hashes
+// were recorded from the hash-set checker, before the word-packed path
+// existed; every fingerprint and decode workload built on these encodings
+// relies on them staying put.
+TEST(Encoding, GoldenRandomConstrainedHashes) {
+  struct Golden {
+    std::size_t m, b;
+    std::uint64_t seed, hash;
+  };
+  for (const Golden& g : {Golden{64, 13, 42, 0x5dcc8ce4eb232abeULL},
+                          Golden{1000, 24, 2019, 0x0756504d11fd6ed0ULL},
+                          Golden{1024, 26, 7, 0x2f41b6a75391841fULL},
+                          Golden{1000, 24, 3, 0xfc22f031650fefceULL}}) {
+    const auto enc = TimestampEncoding::random_constrained(g.m, g.b, 4, g.seed);
+    ASSERT_EQ(enc.m(), g.m);
+    EXPECT_EQ(content_hash(enc), g.hash)
+        << "m=" << g.m << " b=" << g.b << " seed=" << g.seed;
+  }
+}
+
+TEST(Encoding, GoldenIncrementalHash) {
+  const auto enc = TimestampEncoding::incremental(256, 18, 4);
+  ASSERT_EQ(enc.m(), 256u);
+  EXPECT_EQ(content_hash(enc), 0xe49c724a46e0b403ULL);
+}
+
 TEST(Encoding, BitsPerTraceCycleAndLogRate) {
   // Paper §5.2.1: m = 1000, b = 24 on a 5 MHz CAN bus => 5 entries/s of
   // 24+10 bits = 170 bps.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "f2/matrix.hpp"
 
 namespace tp::f2 {
@@ -187,9 +190,8 @@ TEST(LiChecker, Depth4RejectsTripleSum) {
   EXPECT_TRUE(li3.can_add(a ^ b ^ c));
 }
 
-// Regression: the pair-XOR exclusion set only serves depth >= 3 queries
-// (and member_set_ only depth >= 2), so shallow checkers must not grow
-// the quadratic set at all.
+// Regression: the pairwise XORs only serve depth >= 3 queries, so shallow
+// checkers must not record the quadratic set at all.
 TEST(LiChecker, ShallowDepthsSkipPairXorBookkeeping) {
   for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
     LiChecker li(24, depth);
@@ -240,6 +242,55 @@ TEST_P(LiCheckerPropertyTest, AllSmallSubsetsIndependent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, LiCheckerPropertyTest, ::testing::Values(1, 2, 3, 4));
+
+// Differential fuzz: the word-packed path and the hash-set reference give
+// the same can_add answer on every candidate of one stream, and end with
+// the same members and pairwise-XOR count. Widths straddle the cutoff
+// (27 and 40 are hash-set on both sides). Candidates mix zero, fresh
+// random vectors and XORs of 1-4 members, so each depth's rejection
+// rule fires: one member is a duplicate, two a pair sum, three a triple.
+class LiCheckerDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(LiCheckerDifferentialTest, PackedMatchesReference) {
+  const auto [dim, depth] = GetParam();
+  LiChecker fast(dim, depth);
+  LiChecker ref = LiChecker::reference(dim, depth);
+  EXPECT_EQ(fast.packed(), dim <= LiChecker::kMaxPackedDim);
+  EXPECT_FALSE(ref.packed());
+  Rng rng(dim * 1000 + depth);
+  std::size_t rejected = 0;
+  for (std::size_t step = 0; step < 3000 && ref.size() < 200; ++step) {
+    const std::uint64_t kind = rng.below(8);
+    BitVec v(dim);
+    if (kind >= 1 && kind <= 4 && ref.size() > 0) {
+      for (std::uint64_t i = 0; i < kind; ++i) v ^= ref.members()[rng.below(ref.size())];
+    } else if (kind != 0) {
+      v = BitVec::random(dim, rng);
+    }
+    const bool want = ref.can_add(v);
+    ASSERT_EQ(fast.can_add(v), want) << "step " << step << " candidate " << v.to_string();
+    if (want) {
+      fast.add(v);
+      ref.add(v);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(ref.size(), 4u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(fast.members(), ref.members());
+  EXPECT_EQ(fast.pair_xor_count(), ref.pair_xor_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, LiCheckerDifferentialTest,
+    ::testing::Combine(::testing::Values(8, 13, 24, 26, 27, 40),
+                       ::testing::Values(1, 2, 3, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, std::size_t>>& info) {
+      return "dim" + std::to_string(std::get<0>(info.param)) + "_depth" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace tp::f2

@@ -26,10 +26,13 @@ for each matched pair the checks are:
 
   * "fingerprint", when present in the baseline row, must be identical —
     a throughput win that changes answers is a bug, not a win;
-  * "props_per_sec" and "entries_per_sec", when present in both rows,
-    must be at least --min-ratio times the baseline value (default 0.85,
-    i.e. tolerate 15% machine noise but fail on real regressions). The
-    ratio gate is skipped — fingerprint and coverage checks are not —
+  * "seconds" (a row's wall time) and "entries_per_sec", when present in
+    both rows, must be no worse than --min-ratio of the baseline (default
+    0.85, i.e. tolerate 15% machine noise but fail on real regressions):
+    baseline/now seconds and now/baseline entries_per_sec must each be at
+    least the ratio. Rows are not gated on "props_per_sec": a smaller
+    encoding needs fewer propagations for the same answers, so its
+    props/sec can fall while the row runs faster. The ratio gate is skipped — fingerprint and coverage checks are not —
     when the report's config carries "underprovisioned": true (the bench
     detected fewer cores than its parallelism needs, so its throughput
     says nothing about the code).
@@ -69,6 +72,10 @@ import json
 import math
 import numbers
 import sys
+
+
+# Row fields the baseline ratio gate compares, with their direction.
+GATED_FIELDS = (("seconds", False), ("entries_per_sec", True))
 
 
 class SchemaError(Exception):
@@ -226,21 +233,25 @@ def check_baseline(base, current, min_ratio):
                 f"row {key!r}: fingerprint {c.get('fingerprint')!r} != "
                 f"baseline {base_fp!r} (answers changed)")
 
-        for field in ("props_per_sec", "entries_per_sec"):
-            base_rate = b.get(field)
-            cur_rate = c.get(field)
-            if not base_rate or not isinstance(cur_rate, numbers.Real):
+        for field, higher_is_better in GATED_FIELDS:
+            base_value = b.get(field)
+            cur_value = c.get(field)
+            if not base_value or not isinstance(cur_value, numbers.Real):
                 continue
-            ratio = cur_rate / base_rate
-            lines.append(f"  {key}: {base_rate:,.0f} -> {cur_rate:,.0f} "
-                         f"{field} (x{ratio:.2f})")
+            if higher_is_better:
+                ratio = cur_value / base_value
+                shown = f"{base_value:,.0f} -> {cur_value:,.0f}"
+            else:
+                ratio = base_value / cur_value if cur_value else math.inf
+                shown = f"{base_value:.3f} -> {cur_value:.3f}"
+            lines.append(f"  {key}: {shown} {field} (x{ratio:.2f})")
             if skip_ratio:
                 continue
             if ratio < min_ratio:
                 raise BaselineError(
                     f"row {key!r}: {field} regressed to "
                     f"{ratio:.2f}x of baseline (< {min_ratio:.2f}x): "
-                    f"{base_rate:,.0f} -> {cur_rate:,.0f}")
+                    f"{shown}")
 
     # Warm-template front-end gate: for every committed ("<name>",
     # "<name>_pre") pair, the preprocessed template's throughput advantage
@@ -284,8 +295,8 @@ def main(argv):
     parser.add_argument("--baseline", metavar="BASE.json",
                         help="committed baseline report to diff against")
     parser.add_argument("--min-ratio", type=float, default=0.85,
-                        help="minimum allowed props_per_sec ratio vs the "
-                             "baseline (default: %(default)s)")
+                        help="minimum allowed seconds / entries_per_sec "
+                             "ratio vs the baseline (default: %(default)s)")
     args = parser.parse_args(argv[1:])
 
     baseline = None
