@@ -13,8 +13,12 @@
 // bound is a unit on those outputs: exactly-k is o[k-1] and ¬o[k] over one
 // counter with cap k+1, i.e. at most n·(k+1) registers and about
 // 4·n·(k+1) clauses. Both encodings expose the same unary outputs
-// (sequential_outputs / totalizer_outputs). The incremental template
-// engine (timeprint/incremental.hpp) still uses the totalizer.
+// (sequential_outputs / totalizer_outputs). The SR encoder
+// (timeprint/sr_encoder.hpp) fixes a decode's count with encode_exactly
+// and gives the incremental template the totalizer's outputs to assume
+// on: measured in the template, the sequential counter lost on the m=64
+// rows of bench_incremental and won on the m=96 rows (EXPERIMENTS.md), so
+// the template keeps the totalizer.
 
 #include <vector>
 

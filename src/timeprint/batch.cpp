@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -12,7 +13,7 @@
 #include "obs/trace.hpp"
 #include "sat/allsat.hpp"
 #include "timeprint/incremental.hpp"
-#include "timeprint/verify.hpp"
+#include "timeprint/sr_encoder.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
@@ -66,6 +67,11 @@ bool BatchResult::complete() const {
 BatchResult BatchReconstructor::reconstruct_all(const std::vector<LogEntry>& entries,
                                                 const BatchOptions& options) const {
   options.validate();
+  // Checked here, not in the workers: a worker's exception would end the
+  // process.
+  for (const LogEntry& e : entries) {
+    require_timeprint_width(e.tp, rec_.encoding().width());
+  }
   const auto start = Clock::now();
 
   BatchResult out;
@@ -98,31 +104,15 @@ BatchResult BatchReconstructor::reconstruct_all(const std::vector<LogEntry>& ent
     tps.reserve(entries.size());
     for (const LogEntry& e : entries) tps.push_back(e.tp);
     const std::vector<F2Presolve::Analysis> analyses = pre.analyze_batch(tps);
-    const bool decode_all =
-        pre.nullity() <= options.recon.presolve_enum_limit;
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      ReconstructionResult r;
-      if (!analyses[i].consistent) {
-        r.final_status = sat::Status::Unsat;
-      } else if (decode_all) {
-        F2Presolve::Decoded dec = pre.decode_by_enumeration(
-            analyses[i], entries[i].k, rec_.properties(),
-            options.recon.max_solutions);
-        r.signals = std::move(dec.signals);
-        r.final_status =
-            dec.truncated ? sat::Status::Sat : sat::Status::Unsat;
-        r.seconds_to_each.assign(r.signals.size(), 0.0);
-        if (options.recon.verify_models) {
-          require_verified(rec_.encoding(), entries[i], r.signals,
-                           rec_.properties());
-        }
-      } else {
-        continue;
-      }
+      std::optional<ReconstructionResult> r =
+          presolve_shortcut(pre, analyses[i], rec_.encoding(), entries[i],
+                            rec_.properties(), options.recon);
+      if (!r) continue;
       resolved[i] = 1;
       ++resolved_count;
-      resolved_signals += r.signals.size();
-      out.results[i] = std::move(r);
+      resolved_signals += r->signals.size();
+      out.results[i] = std::move(*r);
     }
     if (tracer != nullptr) {
       tracer->event("batch.presolve",
@@ -164,8 +154,7 @@ BatchResult BatchReconstructor::reconstruct_all(const std::vector<LogEntry>& ent
     for (const LogEntry& e : entries) k_max = std::max(k_max, e.k);
     k_max = std::min(k_max, rec_.encoding().m());
     master = std::make_unique<TemplateReconstructor>(
-        rec_.encoding(), rec_.properties(), options.recon,
-        k_max == 0 ? rec_.encoding().m() : k_max);
+        rec_, options.recon, k_max == 0 ? rec_.encoding().m() : k_max);
   }
   auto run_entry = [&](const LogEntry& entry) -> ReconstructionResult {
     if (master == nullptr) return rec_.reconstruct(entry, options.recon);
@@ -274,13 +263,15 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
   // axis here, and nesting portfolio races inside cubes oversubscribes.
   const std::unique_ptr<sat::SolverInterface> base =
       sat::SolverFactory::make(ropts.solver_options());
-  std::vector<sat::Var> cycle_vars;
-  const bool ok = rec_.encode_base(*base, cycle_vars, entry, ropts);
+  const SrFormula formula =
+      encode_sr(*base, rec_.encoding(), SrSpec::fixed(entry.tp, entry.k),
+                rec_.properties(), ropts);
+  const std::vector<sat::Var>& cycle_vars = formula.cycle_vars;
   result.num_vars = base->num_vars();
   result.num_clauses = base->num_clauses();
   result.num_xors = base->num_xors();
   result.stats = base->stats();  // encode-time level-0 propagation effort
-  if (!ok || !base->okay()) {
+  if (!formula.ok || !base->okay()) {
     result.final_status = sat::Status::Unsat;
     result.seconds_total = elapsed();
     if (tracer != nullptr) tracer->event("sr.trivial_unsat");
@@ -398,27 +389,18 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
     result.stats += c.stats;
     if (c.models.final_status == sat::Status::Unknown) any_unknown = true;
   }
-  for (const Cube& c : cubes) {
-    if (result.signals.size() >= cap) break;
-    for (std::size_t i = 0; i < c.models.models.size(); ++i) {
-      if (result.signals.size() >= cap) break;
-      const std::vector<bool>& model = c.models.models[i];
-      Signal s(m);
-      for (std::size_t j = 0; j < model.size(); ++j) {
-        if (model[j]) s.set_change(j);
-      }
-      result.signals.push_back(std::move(s));
+  // The split path verifies here too (verify_models): a cube overlap — two
+  // cubes can only yield the same signal if the guiding-path assumptions
+  // were mis-built — shows up as a duplicate.
+  std::vector<std::vector<bool>> merged;
+  for (Cube& c : cubes) {
+    for (std::size_t i = 0; i < c.models.models.size() && merged.size() < cap; ++i) {
+      merged.push_back(std::move(c.models.models[i]));
       result.seconds_to_each.push_back(c.models.seconds_to_model[i]);
     }
   }
-  if (ropts.verify_models) {
-    // The split path materializes signals in its own merge loop, so it
-    // carries its own verification hook (the other engines verify inside
-    // Reconstructor/TemplateReconstructor). Also catches a cube overlap —
-    // two cubes can only yield the same signal if the guiding-path
-    // assumptions were mis-built — via the duplicate check.
-    require_verified(rec_.encoding(), entry, result.signals, rec_.properties());
-  }
+  result.signals = signals_from_models(merged, rec_.encoding(), {&entry, 1},
+                                       rec_.properties(), ropts.verify_models);
 
   if (cap_reached) {
     result.final_status = sat::Status::Sat;  // cap hit, enumeration cut short

@@ -1,21 +1,17 @@
 #include "timeprint/incremental.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sat/allsat.hpp"
-#include "sat/cardinality.hpp"
-#include "sat/xor_to_cnf.hpp"
-#include "timeprint/verify.hpp"
+#include "timeprint/sr_encoder.hpp"
 
 namespace tp::core {
 
 using sat::Lit;
 using sat::mk_lit;
-using sat::SolverInterface;
 using sat::Status;
 using sat::Var;
 
@@ -41,23 +37,17 @@ sat::SolverStats stats_delta(const sat::SolverStats& after,
 
 }  // namespace
 
-TemplateReconstructor::TemplateReconstructor(
-    const TimestampEncoding& encoding, std::vector<const Property*> properties,
-    const ReconstructionOptions& options, std::size_t k_max)
-    : enc_(&encoding),
-      properties_(std::move(properties)),
-      options_(options),
-      k_max_(k_max == 0 ? encoding.m() : k_max),
-      presolve_(std::make_shared<const F2Presolve>(encoding)) {
-  options_.validate();
-  build();
-}
-
 TemplateReconstructor::TemplateReconstructor(const Reconstructor& reconstructor,
                                              const ReconstructionOptions& options,
                                              std::size_t k_max)
-    : TemplateReconstructor(reconstructor.encoding(), reconstructor.properties(),
-                            options, k_max) {}
+    : enc_(reconstructor.enc_),
+      properties_(reconstructor.properties_),
+      options_(options),
+      k_max_(k_max == 0 ? reconstructor.enc_->m() : k_max),
+      presolve_(reconstructor.presolve_) {
+  options_.validate();
+  build();
+}
 
 TemplateReconstructor::TemplateReconstructor(const TemplateReconstructor& other)
     : enc_(other.enc_),
@@ -80,9 +70,6 @@ void TemplateReconstructor::build() {
   static obs::Counter& builds =
       obs::MetricsRegistry::global().counter("incremental.template_builds");
 
-  const std::size_t m = enc_->m();
-  const std::size_t b = enc_->width();
-
   // A template master's formula is solved thousands of times, so the
   // front-end trade-off shifts: a BVE step that *grows* the clause count
   // taxes every future propagation for a one-time variable saving. Run
@@ -90,86 +77,24 @@ void TemplateReconstructor::build() {
   ReconstructionOptions master_options = options_;
   master_options.preprocess_bve_growth = 0;
   solver_ = master_options.make_solver();
-  cycle_vars_.clear();
-  selectors_.clear();
-  card_outs_.clear();
-  bool ok = true;
 
+  // Selector rows (rhs 0, s_j appended) and one shared totalizer to k_max:
+  // per entry, TP (or, substituted, T·TP) becomes selector assumptions and
+  // |x| = k the two assumptions o[k-1] ("at least k") and ~o[k] ("not at
+  // least k+1"); cap = k_max+1 so the upper-bound literal exists for
+  // k = k_max. The substituted base has rank(A) rows instead of b, the
+  // b - rank(A) dependent rows being exactly the per-entry consistency
+  // check on T·TP; a constant pivot is its own selector.
   presolved_base_ = options_.presolve && options_.proof == nullptr;
-  if (presolved_base_) {
-    // Substituted base over the echelon factorization: one selector XOR
-    // row per RREF row (rank(A) of them instead of b), each defining its
-    // pivot variable over the free-column variables —
-    // pivot ⊕ (free support) ⊕ s_r = 0, so assuming s_r = (T·TP)_r sets
-    // the row's constant per entry. A pivot row with empty free support
-    // degrades to pivot = s_r, so the selector itself serves as the cycle
-    // variable (one variable and one XOR row saved). The b - rank(A)
-    // dependent rows never reach the solver: their constraint is exactly
-    // the per-entry consistency check on the transformed timeprint.
-    const f2::Echelonizer& ech = presolve_->echelon();
-    cycle_vars_.assign(m, 0);
-    for (std::size_t f : ech.free_cols()) cycle_vars_[f] = solver_->new_var();
-    selectors_.reserve(ech.rank());
-    for (std::size_t r = 0; r < ech.rank(); ++r) {
-      const f2::BitVec& row = ech.reduced_rows()[r];
-      const std::size_t pivot = ech.pivot_cols()[r];
-      std::vector<Var> xr;
-      for (std::size_t f : ech.free_cols()) {
-        if (row.get(f)) xr.push_back(cycle_vars_[f]);
-      }
-      const Var s = solver_->new_var();
-      selectors_.push_back(s);
-      if (xr.empty()) {
-        cycle_vars_[pivot] = s;
-        continue;
-      }
-      const Var y = solver_->new_var();
-      cycle_vars_[pivot] = y;
-      xr.push_back(y);
-      xr.push_back(s);
-      if (options_.native_xor) {
-        ok = solver_->add_xor(std::move(xr), false) && ok;
-      } else {
-        ok = sat::add_xor_as_cnf(*solver_, xr, false) && ok;
-      }
-    }
-  } else {
-    cycle_vars_.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) cycle_vars_.push_back(solver_->new_var());
-
-    // Linear system with per-row selector RHS: parity(row_j) = s_j, encoded
-    // as (row_j ∪ {s_j}) with constant RHS 0. An all-zero row degrades to
-    // the unit clause ~s_j — an entry whose timeprint sets that bit then
-    // fails at the assumption level, the correct (conditional) Unsat.
-    selectors_.reserve(b);
-    for (std::size_t j = 0; j < b; ++j) {
-      std::vector<Var> row;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (enc_->timestamp(i).get(j)) row.push_back(cycle_vars_[i]);
-      }
-      const Var s = solver_->new_var();
-      selectors_.push_back(s);
-      row.push_back(s);
-      if (options_.native_xor) {
-        ok = solver_->add_xor(std::move(row), false) && ok;
-      } else {
-        ok = sat::add_xor_as_cnf(*solver_, row, false) && ok;
-      }
-    }
-  }
-
-  // One shared totalizer to k_max; per-entry |x| = k becomes the two
-  // assumptions o[k-1] ("at least k") and ~o[k] ("not at least k+1").
-  // cap = k_max+1 so the upper-bound literal exists for k = k_max.
-  std::vector<Lit> lits;
-  lits.reserve(m);
-  for (Var v : cycle_vars_) lits.push_back(mk_lit(v));
-  const std::size_t cap = k_max_ + 1 < m ? k_max_ + 1 : m;
-  card_outs_ = sat::totalizer_outputs(*solver_, lits, static_cast<int>(cap));
-
-  for (const Property* p : properties_) {
-    ok = p->encode(*solver_, cycle_vars_) && ok;
-  }
+  const std::size_t m = enc_->m();
+  SrSpec spec;
+  spec.windows = {SrWindow{}};
+  spec.presolve = presolved_base_ ? presolve_.get() : nullptr;
+  spec.unary_cap = k_max_ + 1 < m ? k_max_ + 1 : m;
+  SrFormula formula = encode_sr(*solver_, *enc_, spec, properties_, options_);
+  cycle_vars_ = std::move(formula.cycle_vars);
+  selectors_ = std::move(formula.selectors);
+  card_outs_ = std::move(formula.card_outs);
 
   // Hard-freeze only the *assumption-bearing* variables: per-entry
   // assumptions land on the selectors and the totalizer outputs. Cycle
@@ -195,7 +120,7 @@ void TemplateReconstructor::build() {
       "incremental.cycle_vars_eliminated");
   cycle_elim.set(eliminated);
 
-  encode_ok_ = ok && solver_->okay();
+  encode_ok_ = formula.ok && solver_->okay();
   ++stats_.builds;
   builds.add(1);
 }
@@ -204,7 +129,7 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
   static obs::Counter& learnt_retained =
       obs::MetricsRegistry::global().counter("incremental.learnt_retained");
 
-  assert(entry.tp.size() == enc_->width());
+  require_timeprint_width(entry.tp, enc_->width());
   const std::size_t m = enc_->m();
 
   using Clock = std::chrono::steady_clock;
@@ -219,6 +144,24 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
          {"engine", "template"}});
   }
 
+  ReconstructionResult result;
+  auto record_size = [&] {
+    result.num_vars = solver_->num_vars();
+    result.num_clauses = solver_->num_clauses();
+    result.num_xors = solver_->num_xors();
+  };
+  auto finish = [&](const char* event) {
+    result.seconds_total =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    if (event != nullptr && options_.tracer != nullptr) options_.tracer->event(event);
+    if (span.active()) {
+      span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
+      span.add("status", sat::to_string(result.final_status));
+      span.finish();
+    }
+    return std::move(result);
+  };
+
   ++stats_.entries;
   if (stats_.entries > 1) {
     const auto retained = static_cast<std::int64_t>(solver_->num_learnts());
@@ -226,76 +169,29 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
     learnt_retained.add(retained);
   }
 
-  // A change count above k_max needs totalizer outputs the template never
-  // built: rebuild once at the safe maximum and keep serving from there.
   // k > m needs no solver at all — the preimage is empty.
   if (entry.k > m) {
-    ReconstructionResult result;
     result.final_status = Status::Unsat;
-    result.num_vars = solver_->num_vars();
-    result.num_clauses = solver_->num_clauses();
-    result.num_xors = solver_->num_xors();
-    result.seconds_total =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (options_.tracer != nullptr) options_.tracer->event("sr.trivial_unsat");
-    if (span.active()) {
-      span.add("signals", std::uint64_t{0});
-      span.add("status", sat::to_string(result.final_status));
-      span.finish();
-    }
-    return result;
+    record_size();
+    return finish("sr.trivial_unsat");
   }
-  // Presolved fast paths (mirroring Reconstructor::reconstruct): an
+  // Presolved fast paths, shared with the fresh and batch engines: an
   // inconsistent linear system has a complete empty preimage, and a
   // small-nullity encoding is decoded by walking the affine solution
   // space directly — neither touches the solver.
   F2Presolve::Analysis analysis;
   if (presolved_base_) {
     analysis = presolve_->analyze(entry.tp);
-    if (!analysis.consistent) {
-      ReconstructionResult result;
-      result.final_status = Status::Unsat;
-      result.num_vars = solver_->num_vars();
-      result.num_clauses = solver_->num_clauses();
-      result.num_xors = solver_->num_xors();
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      if (options_.tracer != nullptr) options_.tracer->event("sr.presolve_unsat");
-      if (span.active()) {
-        span.add("signals", std::uint64_t{0});
-        span.add("status", sat::to_string(result.final_status));
-        span.finish();
-      }
-      return result;
-    }
-    if (presolve_->nullity() <= options_.presolve_enum_limit) {
-      F2Presolve::Decoded dec = presolve_->decode_by_enumeration(
-          analysis, entry.k, properties_, options_.max_solutions);
-      ReconstructionResult result;
-      result.signals = std::move(dec.signals);
-      result.final_status = dec.truncated ? Status::Sat : Status::Unsat;
-      result.num_vars = solver_->num_vars();
-      result.num_clauses = solver_->num_clauses();
-      result.num_xors = solver_->num_xors();
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      result.seconds_to_each.assign(result.signals.size(),
-                                    result.seconds_total);
-      if (options_.verify_models) {
-        require_verified(*enc_, entry, result.signals, properties_);
-      }
-      if (options_.tracer != nullptr) {
-        options_.tracer->event("sr.presolve_decode");
-      }
-      if (span.active()) {
-        span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
-        span.add("status", sat::to_string(result.final_status));
-        span.finish();
-      }
-      return result;
+    if (std::optional<ReconstructionResult> shortcut = presolve_shortcut(
+            *presolve_, analysis, *enc_, entry, properties_, options_)) {
+      result = std::move(*shortcut);
+      record_size();
+      return finish(analysis.consistent ? "sr.presolve_decode" : "sr.presolve_unsat");
     }
   }
 
+  // A change count above k_max needs totalizer outputs the template never
+  // built: rebuild once at the safe maximum and keep serving from there.
   if (entry.k > k_max_) {
     k_max_ = m;
     build();
@@ -305,24 +201,12 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
     ++stats_.inprocess_rounds;
   }
 
-  ReconstructionResult result;
-  result.num_vars = solver_->num_vars();
-  result.num_clauses = solver_->num_clauses();
-  result.num_xors = solver_->num_xors();
-
+  record_size();
   if (!encode_ok_) {
     // The base itself (properties vs. structure) is contradictory: every
     // entry has an empty, complete preimage.
     result.final_status = Status::Unsat;
-    result.seconds_total =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (options_.tracer != nullptr) options_.tracer->event("sr.trivial_unsat");
-    if (span.active()) {
-      span.add("signals", std::uint64_t{0});
-      span.add("status", sat::to_string(result.final_status));
-      span.finish();
-    }
-    return result;
+    return finish("sr.trivial_unsat");
   }
 
   sat::AllSatOptions as;
@@ -330,18 +214,12 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
   as.limits = options_.limits;
   as.tracer = options_.tracer;
   as.fixed_weight = entry.k;
+  // Selector r carries row r's constant: bit r of TP, or of the
+  // transformed timeprint T·TP on the substituted base.
+  const f2::BitVec& rhs = presolved_base_ ? analysis.transformed : entry.tp;
   as.assumptions.reserve(selectors_.size() + 2);
-  if (presolved_base_) {
-    // Selector r carries RREF row r's constant: bit r of the transformed
-    // timeprint T·TP.
-    for (std::size_t r = 0; r < selectors_.size(); ++r) {
-      as.assumptions.push_back(
-          Lit(selectors_[r], /*negated=*/!analysis.transformed.get(r)));
-    }
-  } else {
-    for (std::size_t j = 0; j < selectors_.size(); ++j) {
-      as.assumptions.push_back(Lit(selectors_[j], /*negated=*/!entry.tp.get(j)));
-    }
+  for (std::size_t r = 0; r < selectors_.size(); ++r) {
+    as.assumptions.push_back(Lit(selectors_[r], /*negated=*/!rhs.get(r)));
   }
   if (entry.k >= 1) as.assumptions.push_back(card_outs_[entry.k - 1]);
   if (entry.k < card_outs_.size()) as.assumptions.push_back(~card_outs_[entry.k]);
@@ -373,25 +251,9 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
 
   result.final_status = models.final_status;
   result.seconds_to_each = models.seconds_to_model;
-  result.seconds_total =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  for (const auto& model : models.models) {
-    Signal s(m);
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      if (model[i]) s.set_change(i);
-    }
-    result.signals.push_back(std::move(s));
-  }
-  if (options_.verify_models) {
-    require_verified(*enc_, entry, result.signals, properties_);
-  }
-
-  if (span.active()) {
-    span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
-    span.add("status", sat::to_string(result.final_status));
-    span.finish();
-  }
-  return result;
+  result.signals = signals_from_models(models.models, *enc_, {&entry, 1},
+                                       properties_, options_.verify_models);
+  return finish(nullptr);
 }
 
 }  // namespace tp::core

@@ -20,9 +20,11 @@
 //     totalizer is built to k_max; its unary outputs o[j] ("at least j+1
 //     inputs true", both implication directions encoded) turn |x| = k
 //     into the two assumptions o[k-1] and ~o[k], so k varies per entry
-//     with no re-encoding. (sat::sequential_outputs exposes the same
-//     unary outputs; the template keeps the totalizer because no bench
-//     row has measured the sequential counter under assumptions.)
+//     with no re-encoding. sat::sequential_outputs exposes the same
+//     unary outputs, and bench_incremental measured it in the
+//     totalizer's place (EXPERIMENTS.md): it loses on the m=64 rows and
+//     wins on the m=96 rows, with every signal set equal, so neither
+//     counter dominates and the template keeps the totalizer.
 //  3. *Guard-literal retirement.* AllSAT blocking clauses carry a
 //     per-entry guard literal (AllSatOptions::guard); after the entry's
 //     enumeration the guard is permanently falsified, which satisfies all
@@ -33,6 +35,10 @@
 //     entry. Solver::simplify() then sweeps the root-satisfied ballast
 //     out of the databases, keeping per-entry cost flat over arbitrarily
 //     long streams.
+//
+// The rows, the totalizer and the properties are written by the shared
+// SR encoder (timeprint/sr_encoder.hpp) in its selector/unary mode — the
+// same code that writes the fresh path's formula.
 //
 // The engine is exact: for every entry it returns the same signal set as
 // the fresh path (differentially tested in tests/test_incremental.cpp).
@@ -55,18 +61,12 @@ namespace tp::core {
 /// engine's per-worker template cache does exactly that).
 class TemplateReconstructor {
  public:
-  /// Build the template for `encoding` with the given known properties
-  /// (all must outlive the reconstructor) under `options`. `k_max` bounds
-  /// the change counts the shared totalizer can express (0 = m, the safe
-  /// default); an entry with k > k_max forces a template rebuild, so pass
-  /// the stream's true maximum when it is known and small.
-  TemplateReconstructor(const TimestampEncoding& encoding,
-                        std::vector<const Property*> properties,
-                        const ReconstructionOptions& options,
-                        std::size_t k_max = 0);
-
-  /// Convenience: template over a Reconstructor's encoding and registered
-  /// properties.
+  /// Build the template over a Reconstructor's encoding, registered
+  /// properties (which must outlive the template) and factorization
+  /// (shared, not recomputed) under `options`. `k_max` bounds the change
+  /// counts the shared totalizer can express (0 = m, the safe default); an
+  /// entry with k > k_max forces a template rebuild, so pass the stream's
+  /// true maximum when it is known and small.
   TemplateReconstructor(const Reconstructor& reconstructor,
                         const ReconstructionOptions& options,
                         std::size_t k_max = 0);
@@ -116,7 +116,7 @@ class TemplateReconstructor {
   std::vector<const Property*> properties_;
   ReconstructionOptions options_;
   std::size_t k_max_;
-  /// Shared echelon factorization of the encoding's matrix. With
+  /// The Reconstructor's echelon factorization, shared. With
   /// options_.presolve (and no proof sink) the base is encoded in
   /// substituted form — rank(A) selector XOR rows instead of b, pivot
   /// variables defined over the free columns — per-entry assumptions are

@@ -1,78 +1,55 @@
 #include "timeprint/joint.hpp"
 
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 
-#include "sat/xor_to_cnf.hpp"
+#include "timeprint/sr_encoder.hpp"
 
 namespace tp::core {
-
-using sat::Lit;
-using sat::mk_lit;
-using sat::SolverInterface;
-using sat::Var;
 
 ReconstructionResult JointReconstructor::reconstruct(
     const std::vector<LogEntry>& entries, const ReconstructionOptions& options) const {
   options.validate();
-  assert(!entries.empty());
-  const std::size_t m = enc_->m();
-  const std::size_t b = enc_->width();
-  const std::size_t n = entries.size();
-
-  const std::unique_ptr<SolverInterface> solver_ptr = options.make_solver();
-  SolverInterface& solver = *solver_ptr;
-  std::vector<Var> span_vars;
-  span_vars.reserve(n * m);
-  for (std::size_t i = 0; i < n * m; ++i) span_vars.push_back(solver.new_var());
-
-  for (std::size_t w = 0; w < n; ++w) {
-    assert(entries[w].tp.size() == b);
-    // XOR system of window w over its own m variables.
-    for (std::size_t j = 0; j < b; ++j) {
-      std::vector<Var> row;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (enc_->timestamp(i).get(j)) row.push_back(span_vars[w * m + i]);
-      }
-      const bool rhs = entries[w].tp.get(j);
-      if (options.native_xor) {
-        solver.add_xor(std::move(row), rhs);
-      } else {
-        sat::add_xor_as_cnf(solver, row, rhs);
-      }
-    }
-    // Cardinality of window w.
-    std::vector<Lit> lits;
-    lits.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) lits.push_back(mk_lit(span_vars[w * m + i]));
-    sat::encode_exactly(solver, lits, static_cast<int>(entries[w].k),
-                        options.card_encoding);
+  if (entries.empty()) {
+    throw std::invalid_argument("JointReconstructor: no log entries to decode");
   }
 
-  // Span-wide properties.
-  for (const Property* p : properties_) p->encode(solver, span_vars);
+  const std::unique_ptr<sat::SolverInterface> solver_ptr = options.make_solver();
+  sat::SolverInterface& solver = *solver_ptr;
+  // Window w owns span cycles [w·m, (w+1)·m): its own rows and count; the
+  // properties range over the whole span.
+  SrSpec spec;
+  for (const LogEntry& e : entries) spec.windows.push_back({&e.tp, e.k});
+  const SrFormula formula = encode_sr(solver, *enc_, spec, properties_, options);
+
+  // Sizes and effort are read after the enumeration, blocking clauses
+  // included.
+  ReconstructionResult result;
+  auto record = [&] {
+    result.stats = solver.stats();
+    result.num_vars = solver.num_vars();
+    result.num_clauses = solver.num_clauses();
+    result.num_xors = solver.num_xors();
+  };
+  if (!formula.ok || !solver.okay()) {
+    result.final_status = sat::Status::Unsat;  // empty and complete
+    record();
+    return result;
+  }
 
   sat::AllSatOptions as;
   as.max_models = options.max_solutions;
   as.limits = options.limits;
   as.with_config(options);
-  const sat::AllSatResult models = sat::enumerate_models(solver, span_vars, as);
+  const sat::AllSatResult models =
+      sat::enumerate_models(solver, formula.cycle_vars, as);
 
-  ReconstructionResult result;
   result.final_status = models.final_status;
   result.seconds_to_each = models.seconds_to_model;
   result.seconds_total = models.seconds_total;
-  result.stats = solver.stats();
-  result.num_vars = solver.num_vars();
-  result.num_clauses = solver.num_clauses();
-  result.num_xors = solver.num_xors();
-  for (const auto& model : models.models) {
-    Signal s(n * m);
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      if (model[i]) s.set_change(i);
-    }
-    result.signals.push_back(std::move(s));
-  }
+  record();
+  result.signals = signals_from_models(models.models, *enc_, entries, properties_,
+                                       options.verify_models);
   return result;
 }
 

@@ -29,7 +29,10 @@ class JointReconstructor {
 
   /// Enumerate concatenated signals (length entries.size() · m) that
   /// explain every log entry simultaneously, subject to the registered
-  /// span properties.
+  /// span properties. The formula is the SR encoder's (sr_encoder.hpp)
+  /// with one window per entry. options.verify_models re-checks every
+  /// window's A·x = TP and |x| = k and the span properties. Throws
+  /// std::invalid_argument when `entries` is empty.
   ReconstructionResult reconstruct(const std::vector<LogEntry>& entries,
                                    const ReconstructionOptions& options = {}) const;
 

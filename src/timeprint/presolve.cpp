@@ -2,10 +2,20 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace tp::core {
 
+void require_timeprint_width(const f2::BitVec& tp, std::size_t width) {
+  if (tp.size() != width) {
+    throw std::invalid_argument("timeprint of " + std::to_string(tp.size()) +
+                                " bits, encoding has " + std::to_string(width));
+  }
+}
+
 F2Presolve::Analysis F2Presolve::analyze(const f2::BitVec& tp) const {
+  require_timeprint_width(tp, ech_.rows());
   Analysis a;
   a.transformed = ech_.transform(tp);
   a.consistent = ech_.consistent_transformed(a.transformed);
@@ -14,6 +24,7 @@ F2Presolve::Analysis F2Presolve::analyze(const f2::BitVec& tp) const {
 
 std::vector<F2Presolve::Analysis> F2Presolve::analyze_batch(
     const std::vector<f2::BitVec>& tps) const {
+  for (const f2::BitVec& tp : tps) require_timeprint_width(tp, ech_.rows());
   std::vector<f2::BitVec> transformed = ech_.transform_batch(tps);
   std::vector<Analysis> out(transformed.size());
   for (std::size_t i = 0; i < transformed.size(); ++i) {

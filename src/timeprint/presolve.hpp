@@ -34,6 +34,10 @@
 
 namespace tp::core {
 
+/// Throws std::invalid_argument unless `tp` has `width` bits. A timeprint
+/// comes from a log or an archive; the F2 kernels only assert the width.
+void require_timeprint_width(const f2::BitVec& tp, std::size_t width);
+
 class F2Presolve {
  public:
   /// Factor the encoding's matrix once (the encoding is not retained).
@@ -44,7 +48,8 @@ class F2Presolve {
   std::size_t nullity() const { return ech_.nullity(); }
 
   /// Per-timeprint F2 verdict: the transformed RHS T·TP and whether the
-  /// linear system is consistent at all.
+  /// linear system is consistent at all. Both analyses reject a timeprint
+  /// of the wrong width (require_timeprint_width).
   struct Analysis {
     bool consistent = false;
     f2::BitVec transformed;  ///< T·TP, width b; bits [0, rank) are the

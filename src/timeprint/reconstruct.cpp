@@ -1,18 +1,15 @@
 #include "timeprint/reconstruct.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sat/xor_to_cnf.hpp"
+#include "timeprint/sr_encoder.hpp"
 #include "timeprint/verify.hpp"
 
 namespace tp::core {
 
-using sat::Lit;
-using sat::mk_lit;
 using sat::SolverInterface;
 using sat::Status;
 using sat::Var;
@@ -23,9 +20,10 @@ void ReconstructionOptions::validate() const {
         "ReconstructionOptions: use_gauss requires native_xor (the Gaussian "
         "engine operates on native XOR rows, not their CNF translation)");
   }
-  if ((gauss_gate != 0 || gauss_max_unassigned != 0) && !use_gauss) {
+  if (gauss_max_unassigned != 0 && !use_gauss) {
     throw std::invalid_argument(
-        "ReconstructionOptions: gauss_gate is set but use_gauss is false");
+        "ReconstructionOptions: gauss_max_unassigned is set but use_gauss is "
+        "false");
   }
   if (max_solutions == 0) {
     throw std::invalid_argument(
@@ -45,8 +43,6 @@ void ReconstructionOptions::validate() const {
 sat::SolverOptions ReconstructionOptions::solver_options() const {
   sat::SolverOptions so;
   static_cast<sat::SolverConfig&>(so) = *this;  // the shared knob slice
-  // Deprecated alias: a non-zero gauss_gate overrides the inherited field.
-  if (gauss_gate != 0) so.gauss_max_unassigned = gauss_gate;
   return so;
 }
 
@@ -64,113 +60,6 @@ const char* to_string(CheckVerdict v) {
     case CheckVerdict::Unknown: return "unknown";
   }
   return "?";
-}
-
-bool Reconstructor::encode_base(SolverInterface& solver, std::vector<Var>& cycle_vars,
-                                const LogEntry& entry,
-                                const ReconstructionOptions& options) const {
-  const std::size_t m = enc_->m();
-  const std::size_t b = enc_->width();
-  assert(entry.tp.size() == b);
-
-  cycle_vars.clear();
-  cycle_vars.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) cycle_vars.push_back(solver.new_var());
-
-  bool ok = true;
-
-  // Linear system A·x = TP: one XOR clause per timeprint bit.
-  for (std::size_t j = 0; j < b; ++j) {
-    std::vector<Var> row;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (enc_->timestamp(i).get(j)) row.push_back(cycle_vars[i]);
-    }
-    const bool rhs = entry.tp.get(j);
-    if (options.native_xor) {
-      ok = solver.add_xor(std::move(row), rhs) && ok;
-    } else {
-      ok = sat::add_xor_as_cnf(solver, row, rhs) && ok;
-    }
-  }
-
-  // Cardinality |x| = k.
-  std::vector<Lit> lits;
-  lits.reserve(m);
-  for (Var v : cycle_vars) lits.push_back(mk_lit(v));
-  ok = sat::encode_exactly(solver, lits, static_cast<int>(entry.k),
-                           options.card_encoding) &&
-       ok;
-
-  // Known (verified) properties prune the space.
-  for (const Property* p : properties_) ok = p->encode(solver, cycle_vars) && ok;
-
-  return ok;
-}
-
-bool Reconstructor::encode_presolved(SolverInterface& solver,
-                                     std::vector<Var>& free_vars,
-                                     const LogEntry& entry,
-                                     const ReconstructionOptions& options,
-                                     const F2Presolve::Analysis& analysis) const {
-  const f2::Echelonizer& ech = presolve_->echelon();
-  const std::size_t m = enc_->m();
-  constexpr Var kNoVar = -1;
-  std::vector<Var> cycle_vars(m, kNoVar);
-
-  free_vars.clear();
-  free_vars.reserve(ech.nullity());
-  for (std::size_t f : ech.free_cols()) {
-    const Var v = solver.new_var();
-    cycle_vars[f] = v;
-    free_vars.push_back(v);
-  }
-
-  bool ok = true;
-  // Properties constrain the full cycle array, so with any registered the
-  // constant pivots must exist as (unit-fixed) variables; without, they
-  // are eliminated outright and only shift the cardinality bound.
-  const bool need_all_vars = !properties_.empty();
-  std::size_t fixed_ones = 0;
-  for (std::size_t r = 0; r < ech.rank(); ++r) {
-    const f2::BitVec& row = ech.reduced_rows()[r];
-    const std::size_t pivot = ech.pivot_cols()[r];
-    const bool c = analysis.transformed.get(r);
-    std::vector<Var> xr;
-    for (std::size_t f : ech.free_cols()) {
-      if (row.get(f)) xr.push_back(cycle_vars[f]);
-    }
-    if (xr.empty() && !need_all_vars) {
-      if (c) ++fixed_ones;  // pivot forced to 1: pre-counted change
-      continue;
-    }
-    const Var y = solver.new_var();
-    cycle_vars[pivot] = y;
-    if (xr.empty()) {
-      ok = solver.add_clause({Lit(y, /*negated=*/!c)}) && ok;
-    } else {
-      xr.push_back(y);
-      if (options.native_xor) {
-        ok = solver.add_xor(std::move(xr), c) && ok;
-      } else {
-        ok = sat::add_xor_as_cnf(solver, xr, c) && ok;
-      }
-    }
-  }
-  if (fixed_ones > entry.k) return false;  // forced changes already exceed k
-
-  // Cardinality over the variables that exist; eliminated constant-1
-  // pivots are already-spent changes, so the bound shrinks by fixed_ones.
-  std::vector<Lit> lits;
-  lits.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (cycle_vars[i] != kNoVar) lits.push_back(mk_lit(cycle_vars[i]));
-  }
-  ok = sat::encode_exactly(solver, lits, static_cast<int>(entry.k - fixed_ones),
-                           options.card_encoding) &&
-       ok;
-
-  for (const Property* p : properties_) ok = p->encode(solver, cycle_vars) && ok;
-  return ok;
 }
 
 ReconstructionResult Reconstructor::reconstruct(
@@ -212,32 +101,12 @@ ReconstructionResult Reconstructor::reconstruct(
   F2Presolve::Analysis analysis;
   if (use_presolve) {
     analysis = presolve_->analyze(entry.tp);
-    if (!analysis.consistent) {
-      // A·x = TP has no solution even without the weight constraint: the
-      // preimage is empty and complete, no solver needed.
-      result.final_status = Status::Unsat;
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      if (options.tracer != nullptr) options.tracer->event("sr.presolve_unsat");
-      finish(result);
-      return result;
-    }
-    if (presolve_->nullity() <= options.presolve_enum_limit) {
-      // The whole affine solution space is small: enumerate it directly,
-      // filtering on |x| = k and the properties. Zero solver variables.
-      F2Presolve::Decoded dec = presolve_->decode_by_enumeration(
-          analysis, entry.k, properties_, options.max_solutions);
-      result.signals = std::move(dec.signals);
-      result.final_status = dec.truncated ? Status::Sat : Status::Unsat;
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      result.seconds_to_each.assign(result.signals.size(), result.seconds_total);
-      if (options.verify_models) {
-        require_verified(*enc_, entry, result.signals, properties_);
-      }
+    if (std::optional<ReconstructionResult> shortcut = presolve_shortcut(
+            *presolve_, analysis, *enc_, entry, properties_, options)) {
+      result = std::move(*shortcut);
       if (options.tracer != nullptr) {
         options.tracer->event(
-            "sr.presolve_decode",
+            analysis.consistent ? "sr.presolve_decode" : "sr.presolve_unsat",
             {{"signals", static_cast<std::uint64_t>(result.signals.size())}});
       }
       finish(result);
@@ -247,13 +116,22 @@ ReconstructionResult Reconstructor::reconstruct(
 
   const std::unique_ptr<SolverInterface> solver_ptr = options.make_solver();
   SolverInterface& solver = *solver_ptr;
-  std::vector<Var> projection;  // enumeration projection (cycle or free vars)
   obs::Tracer::Span encode_span;
   if (options.tracer != nullptr) encode_span = options.tracer->span("sr.encode");
-  const bool encode_ok =
-      use_presolve
-          ? encode_presolved(solver, projection, entry, options, analysis)
-          : encode_base(solver, projection, entry, options);
+  // Only the enumeration projection outlives the encoding: the free
+  // columns (substituted; the pivots are substituted back into each model)
+  // or the cycle variables.
+  std::vector<Var> projection;
+  bool encode_ok = false;
+  {
+    SrFormula formula = encode_sr(
+        solver, *enc_,
+        use_presolve ? SrSpec::fixed(analysis.transformed, entry.k, presolve_.get())
+                     : SrSpec::fixed(entry.tp, entry.k),
+        properties_, options);
+    encode_ok = formula.ok;
+    projection = std::move(use_presolve ? formula.free_vars : formula.cycle_vars);
+  }
   if (encode_span.active()) {
     encode_span.add("ok", encode_ok);
     encode_span.add("presolved", use_presolve);
@@ -281,29 +159,15 @@ ReconstructionResult Reconstructor::reconstruct(
     as.max_models = options.max_solutions;
     as.limits = options.limits;
     as.with_config(options);
-    const sat::AllSatResult models =
-        sat::enumerate_models(solver, projection, as);
+    const sat::AllSatResult models = sat::enumerate_models(solver, projection, as);
 
     result.final_status = models.final_status;
     result.seconds_to_each = models.seconds_to_model;
     result.seconds_total = models.seconds_total;
     result.stats = solver.stats();
-    for (const auto& model : models.models) {
-      if (use_presolve) {
-        // Projection is the free columns; substitute the pivot values back.
-        result.signals.push_back(
-            Signal::from_bits(presolve_->expand(analysis, model)));
-      } else {
-        Signal s(enc_->m());
-        for (std::size_t i = 0; i < model.size(); ++i) {
-          if (model[i]) s.set_change(i);
-        }
-        result.signals.push_back(std::move(s));
-      }
-    }
-    if (options.verify_models) {
-      require_verified(*enc_, entry, result.signals, properties_);
-    }
+    result.signals = signals_from_models(
+        models.models, *enc_, {&entry, 1}, properties_, options.verify_models,
+        presolve_.get(), use_presolve ? &analysis : nullptr);
   }
 
   finish(result);
@@ -334,16 +198,18 @@ CheckResult Reconstructor::check_hypothesis(const LogEntry& entry,
 
   const std::unique_ptr<SolverInterface> solver_ptr = options.make_solver();
   SolverInterface& solver = *solver_ptr;
-  std::vector<Var> cycle_vars;
-  bool encode_ok = encode_base(solver, cycle_vars, entry, options);
-  encode_ok = negated->encode(solver, cycle_vars) && encode_ok;
+  std::vector<const Property*> properties = properties_;
+  properties.push_back(negated.get());
+  const SrFormula formula =
+      encode_sr(solver, *enc_, SrSpec::fixed(entry.tp, entry.k), properties, options);
+  const std::vector<Var>& cycle_vars = formula.cycle_vars;
 
   CheckResult result;
   result.num_vars = solver.num_vars();
   result.num_clauses = solver.num_clauses();
   result.num_xors = solver.num_xors();
 
-  if (!encode_ok || !solver.okay()) {
+  if (!formula.ok || !solver.okay()) {
     // No assignment satisfies the encoding plus the negated hypothesis —
     // vacuously, every reconstruction satisfies the hypothesis. Skip the
     // solve (which would only rediscover the root-level conflict).

@@ -14,11 +14,17 @@
 // constraint |x| = k uses Sinz's sequential counter, whose registers
 // r[i][j] mean "at least j+1 of the first i+1 cycle variables are true"
 // (both directions), so |x| = k is two units on its last row over at most
-// m·(k+1) registers (sat/cardinality.hpp); the incremental template
-// engine uses the totalizer instead. Known temporal properties add their
-// clauses to prune the search (paper §5.1.3). Models
-// are enumerated with blocking clauses, projected onto the cycle
-// variables.
+// m·(k+1) registers (sat/cardinality.hpp). Known temporal properties add
+// their clauses to prune the search (paper §5.1.3). Models are enumerated
+// with blocking clauses, projected onto the cycle variables.
+//
+// Every engine — this fresh path, check_hypothesis, the cube splitter
+// (batch.hpp), the incremental template (incremental.hpp, selector rows
+// and a totalizer under assumptions) and the joint decoder (joint.hpp) —
+// writes that formula through the one encoder, encode_sr()
+// (sr_encoder.hpp), and takes the same presolve shortcut before it:
+// inconsistent → empty preimage, small nullity → direct enumeration,
+// otherwise the SAT decode.
 
 #include <cstdint>
 #include <memory>
@@ -54,12 +60,6 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// true: native XOR constraints (CryptoMiniSat-style, the paper's path);
   /// false: Tseitin-chained CNF (ablation).
   bool native_xor = true;
-  /// Deprecated alias of the inherited gauss_max_unassigned, kept for one
-  /// release: 0 = defer to gauss_max_unassigned; non-zero wins over it.
-  /// (0 in both = auto gate; SIZE_MAX = run the elimination at every
-  /// fixpoint, which pays off when strong structural properties assign
-  /// many cycle variables at once.)
-  std::size_t gauss_gate = 0;
   /// Which solver backend every engine of this run builds through
   /// make_solver(): one sat::Solver, or a sat::PortfolioSolver racing
   /// `portfolio_members` diversified configurations per solve with
@@ -80,9 +80,10 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// by BatchReconstructor::reconstruct_all (per-worker template cache);
   /// Reconstructor::reconstruct and reconstruct_split keep the
   /// fresh-solver path regardless (the reference oracle). The template
-  /// engine always uses the totalizer cardinality internally (the only
-  /// encoding whose bound can vary under assumptions); card_encoding
-  /// still selects the fresh path's encoding.
+  /// engine assumes on the totalizer's unary outputs whatever
+  /// card_encoding says (the sequential counter's outputs were measured
+  /// there and do not dominate, EXPERIMENTS.md); card_encoding selects
+  /// the fresh path's encoding.
   bool incremental = false;
   /// Consult the shared F2 echelon factorization (timeprint/presolve.hpp)
   /// before emitting any CNF: an inconsistent linear system returns a
@@ -135,10 +136,9 @@ struct ReconstructionOptions : sat::SolverConfig {
   void validate() const;
 
   /// The SolverOptions these knobs induce — since both structs inherit
-  /// sat::SolverConfig this is one config-slice assignment plus the
-  /// gauss_gate alias fold, the single source of truth for every engine
-  /// that builds a solver for an SR query (fresh, split and template
-  /// paths).
+  /// sat::SolverConfig this is one config-slice assignment, the single
+  /// source of truth for every engine that builds a solver for an SR query
+  /// (fresh, split and template paths).
   sat::SolverOptions solver_options() const;
 
   /// Build the selected backend (solver_backend / portfolio_members /
@@ -228,14 +228,6 @@ class Reconstructor {
                                          const LogEntry& entry,
                                          const std::vector<const Property*>& props = {});
 
-  /// Build solver + cycle variables with the SR encoding and registered
-  /// properties. Returns false iff trivially UNSAT. Public so engines that
-  /// own the enumeration loop (the batch/cube engine, custom AllSAT
-  /// drivers) can encode once and branch the solver per worker. Works
-  /// against any SolverInterface backend.
-  bool encode_base(sat::SolverInterface& solver, std::vector<sat::Var>& cycle_vars,
-                   const LogEntry& entry, const ReconstructionOptions& options) const;
-
   /// The encoding this reconstructor solves against.
   const TimestampEncoding& encoding() const { return *enc_; }
 
@@ -243,14 +235,8 @@ class Reconstructor {
   const F2Presolve& presolve() const { return *presolve_; }
 
  private:
-  /// Substituted encoding: free-column variables plus rank(A) XOR-defined
-  /// pivot variables (constant pivots get no variable unless a property
-  /// needs the full cycle array). Returns false iff trivially UNSAT;
-  /// `free_vars` receives the enumeration projection in free_cols order.
-  bool encode_presolved(sat::SolverInterface& solver,
-                        std::vector<sat::Var>& free_vars, const LogEntry& entry,
-                        const ReconstructionOptions& options,
-                        const F2Presolve::Analysis& analysis) const;
+  // The template engine shares this reconstructor's factorization.
+  friend class TemplateReconstructor;
 
   const TimestampEncoding* enc_;
   std::shared_ptr<const F2Presolve> presolve_;

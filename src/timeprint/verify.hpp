@@ -15,6 +15,7 @@
 // and the final UNSAT — "no models beyond the enumerated ones" — is
 // checkable against the formula plus the emitted blocking clauses (there).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,20 +35,39 @@ struct VerifyResult {
   explicit operator bool() const { return ok; }
 };
 
-/// Check every signal in `signals` against `entry` under `encoding`:
-/// A·x = TP (recomputed with f2::Matrix::multiply), |x| = k, each
-/// registered property holds, and no signal appears twice. Stops at the
-/// first violation.
+/// Check every signal in `signals` against a span of consecutive
+/// trace-cycle windows under `encoding`: each signal has
+/// windows.size()·m cycles, and for every window w its slice x_w satisfies
+/// A·x_w = TP_w (recomputed with f2::Matrix::multiply) and |x_w| = k_w;
+/// each property holds on the whole signal, and no signal appears twice.
+/// Stops at the first violation.
 VerifyResult verify_signals(const TimestampEncoding& encoding,
-                            const LogEntry& entry,
+                            std::span<const LogEntry> windows,
                             const std::vector<Signal>& signals,
                             const std::vector<const Property*>& properties = {});
+
+/// The single-window form: one trace-cycle against `entry`.
+inline VerifyResult verify_signals(const TimestampEncoding& encoding,
+                                   const LogEntry& entry,
+                                   const std::vector<Signal>& signals,
+                                   const std::vector<const Property*>& properties = {}) {
+  return verify_signals(encoding, std::span<const LogEntry>(&entry, 1), signals,
+                        properties);
+}
 
 /// verify_signals, but a violation throws std::logic_error with the
 /// failure text — the hook form the reconstruction engines call when
 /// ReconstructionOptions::verify_models is set.
-void require_verified(const TimestampEncoding& encoding, const LogEntry& entry,
+void require_verified(const TimestampEncoding& encoding,
+                      std::span<const LogEntry> windows,
                       const std::vector<Signal>& signals,
                       const std::vector<const Property*>& properties = {});
+
+inline void require_verified(const TimestampEncoding& encoding, const LogEntry& entry,
+                             const std::vector<Signal>& signals,
+                             const std::vector<const Property*>& properties = {}) {
+  require_verified(encoding, std::span<const LogEntry>(&entry, 1), signals,
+                   properties);
+}
 
 }  // namespace tp::core

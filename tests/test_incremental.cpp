@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ TEST(Incremental, MatchesFreshAndBruteForceOnRandomStreams) {
         TimestampEncoding::random_constrained_auto(m, 3, seed);
     Reconstructor fresh(enc);
     ReconstructionOptions opts;
-    TemplateReconstructor tmpl(enc, {}, opts);
+    TemplateReconstructor tmpl(fresh, opts);
 
     for (const LogEntry& entry : random_stream(enc, 8, rng)) {
       const ReconstructionResult t = tmpl.reconstruct(entry);
@@ -97,7 +98,7 @@ TEST(Incremental, MatchesFreshAcrossEncodingKnobs) {
       opts.use_gauss = kn.use_gauss;
       opts.card_encoding = card;
       Reconstructor fresh(enc);
-      TemplateReconstructor tmpl(enc, {}, opts);
+      TemplateReconstructor tmpl(fresh, opts);
       for (const LogEntry& entry : entries) {
         const ReconstructionResult t = tmpl.reconstruct(entry);
         const ReconstructionResult f = fresh.reconstruct(entry, opts);
@@ -136,7 +137,8 @@ TEST(Incremental, PropertiesPruneIdentically) {
 
 TEST(Incremental, KZeroDecodesTheEmptySignal) {
   const TimestampEncoding enc = TimestampEncoding::random_constrained_auto(10, 2, 3);
-  TemplateReconstructor tmpl(enc, {}, {});
+  const Reconstructor rec(enc);
+  TemplateReconstructor tmpl(rec, {});
 
   // k = 0 with the zero timeprint: exactly the all-quiet signal.
   const ReconstructionResult quiet =
@@ -157,7 +159,7 @@ TEST(Incremental, RebuildsOnceWhenKExceedsKmax) {
   const TimestampEncoding enc = TimestampEncoding::random_constrained_auto(10, 2, 3);
   Reconstructor fresh(enc);
   ReconstructionOptions opts;
-  TemplateReconstructor tmpl(enc, {}, opts, /*k_max=*/2);
+  TemplateReconstructor tmpl(fresh, opts, /*k_max=*/2);
   EXPECT_EQ(tmpl.k_max(), 2u);
   Logger logger(enc);
   f2::Rng rng(9);
@@ -183,7 +185,8 @@ TEST(Incremental, RebuildsOnceWhenKExceedsKmax) {
 
 TEST(Incremental, KAboveMIsTriviallyUnsatWithoutRebuild) {
   const TimestampEncoding enc = TimestampEncoding::random_constrained_auto(8, 2, 13);
-  TemplateReconstructor tmpl(enc, {}, {}, /*k_max=*/3);
+  const Reconstructor rec(enc);
+  TemplateReconstructor tmpl(rec, {}, /*k_max=*/3);
   const ReconstructionResult r =
       tmpl.reconstruct({f2::BitVec(enc.width()), enc.m() + 3});
   ASSERT_TRUE(r.complete());
@@ -191,11 +194,31 @@ TEST(Incremental, KAboveMIsTriviallyUnsatWithoutRebuild) {
   EXPECT_EQ(tmpl.stats().builds, 1);  // no rebuild for an impossible k
 }
 
+TEST(Incremental, WrongWidthTimeprintIsRejected) {
+  const TimestampEncoding enc = TimestampEncoding::random_constrained_auto(12, 3, 21);
+  const Reconstructor rec(enc);
+  ReconstructionOptions classic;
+  classic.presolve = false;
+  TemplateReconstructor presolved(rec, {});
+  TemplateReconstructor plain(rec, classic);
+  const LogEntry bad{f2::BitVec(enc.width() + 1), 2};
+  EXPECT_THROW(presolved.reconstruct(bad), std::invalid_argument);
+  EXPECT_THROW(plain.reconstruct(bad), std::invalid_argument);
+
+  // Both with the presolve prepass and without (entries go to workers).
+  const BatchReconstructor batch(enc);
+  BatchOptions opts;
+  opts.num_threads = 1;
+  EXPECT_THROW(batch.reconstruct_all({bad}, opts), std::invalid_argument);
+  opts.recon.presolve = false;
+  EXPECT_THROW(batch.reconstruct_all({bad}, opts), std::invalid_argument);
+}
+
 TEST(Incremental, CloneCarriesTheTemplateButCountsItsOwnStats) {
   const TimestampEncoding enc = TimestampEncoding::random_constrained_auto(12, 3, 21);
   Reconstructor fresh(enc);
   ReconstructionOptions opts;
-  TemplateReconstructor tmpl(enc, {}, opts);
+  TemplateReconstructor tmpl(fresh, opts);
   f2::Rng rng(3);
   const std::vector<LogEntry> entries = random_stream(enc, 4, rng);
 
@@ -272,8 +295,8 @@ TEST(Incremental, PresolveParityAcrossConfigs) {
     on.verify_models = true;
     ReconstructionOptions off = on;
     off.presolve = false;
-    TemplateReconstructor tmpl_on(enc, {}, on);
-    TemplateReconstructor tmpl_off(enc, {}, off);
+    TemplateReconstructor tmpl_on(fresh, on);
+    TemplateReconstructor tmpl_off(fresh, off);
     for (const LogEntry& entry : entries) {
       const auto want = signal_set(fresh.reconstruct(entry, off).signals);
       EXPECT_EQ(signal_set(fresh.reconstruct(entry, on).signals), want);
@@ -301,8 +324,9 @@ TEST(Incremental, PresolveShrinksTheEncodedProblem) {
   on.presolve_enum_limit = 0;     // nullity 2 > 0: both configs must solve
   ReconstructionOptions off = on;
   off.presolve = false;
-  TemplateReconstructor tmpl_on(enc, {}, on);
-  TemplateReconstructor tmpl_off(enc, {}, off);
+  const Reconstructor rec(enc);
+  TemplateReconstructor tmpl_on(rec, on);
+  TemplateReconstructor tmpl_off(rec, off);
   Logger logger(enc);
   const LogEntry entry = logger.log(Signal::random_with_changes(enc.m(), 3, rng));
 
@@ -322,7 +346,7 @@ TEST(Incremental, PresolveDecodesSmallNullityWithoutSolving) {
   const TimestampEncoding enc = TimestampEncoding::one_hot(9);
   Reconstructor fresh(enc);
   ReconstructionOptions opts;
-  TemplateReconstructor tmpl(enc, {}, opts);
+  TemplateReconstructor tmpl(fresh, opts);
   Logger logger(enc);
   f2::Rng rng(71);
   for (int i = 0; i < 5; ++i) {
@@ -343,7 +367,8 @@ TEST(Incremental, LearntClauseCapitalAccumulates) {
   // non-trivial stream the retained-learnts counter must have moved (the
   // fresh path would have thrown every one of those clauses away).
   const TimestampEncoding enc = TimestampEncoding::random_constrained_auto(18, 3, 41);
-  TemplateReconstructor tmpl(enc, {}, {});
+  const Reconstructor rec(enc);
+  TemplateReconstructor tmpl(rec, {});
   Logger logger(enc);
   f2::Rng rng(29);
   for (int i = 0; i < 10; ++i) {
@@ -401,8 +426,8 @@ TEST(Incremental, TemplatePreprocessParityAcrossConfigsAndEdges) {
     pre_opts.preprocess = true;
 
     Reconstructor fresh(enc);
-    TemplateReconstructor raw_tmpl(enc, {}, raw_opts, /*k_max=*/2);
-    TemplateReconstructor pre_tmpl(enc, {}, pre_opts, /*k_max=*/2);
+    TemplateReconstructor raw_tmpl(fresh, raw_opts, /*k_max=*/2);
+    TemplateReconstructor pre_tmpl(fresh, pre_opts, /*k_max=*/2);
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const ReconstructionResult p = pre_tmpl.reconstruct(entries[i]);
       const ReconstructionResult t = raw_tmpl.reconstruct(entries[i]);
@@ -433,7 +458,7 @@ TEST(Incremental, TemplatePreprocessMatchesFreshOnPortfolioBackend) {
   opts.solver_backend = sat::SolverBackend::Portfolio;
   opts.portfolio_members = 2;
   Reconstructor fresh(enc);
-  TemplateReconstructor tmpl(enc, {}, opts);
+  TemplateReconstructor tmpl(fresh, opts);
   f2::Rng rng(97);
   for (const LogEntry& entry : random_stream(enc, 5, rng)) {
     const ReconstructionResult t = tmpl.reconstruct(entry);
@@ -493,7 +518,8 @@ TEST(Incremental, CacheBoundHoldsOverTenThousandEntrySoak) {
   BatchOptions opts;
   opts.num_threads = 4;
   opts.recon.incremental = true;
-  const TemplateReconstructor probe(enc, {}, opts.recon);
+  const Reconstructor rec(enc);
+  const TemplateReconstructor probe(rec, opts.recon);
   opts.template_cache_bytes = 2 * probe.retained_bytes();
   ASSERT_GT(opts.template_cache_bytes, 0u);
 

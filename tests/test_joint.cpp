@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "can/forensics.hpp"
 #include "timeprint/joint.hpp"
+#include "timeprint/verify.hpp"
 
 namespace tp::core {
 namespace {
@@ -116,6 +119,67 @@ TEST(Joint, ThreeWindows) {
                 parts[static_cast<std::size_t>(w)].has_change(i));
     }
   }
+}
+
+TEST(Joint, EmptySpanIsRejected) {
+  // No windows is a caller error, not a "complete" preimage holding one
+  // zero-length signal; the guard holds in every build type.
+  auto enc = TimestampEncoding::one_hot(6);
+  JointReconstructor joint(enc);
+  EXPECT_THROW(joint.reconstruct({}), std::invalid_argument);
+  // A timeprint of the wrong width is rejected the same way.
+  EXPECT_THROW(joint.reconstruct({{f2::BitVec(6), 1}, {f2::BitVec(5), 1}}),
+               std::invalid_argument);
+}
+
+// Holds only without a change in span cycle 0, but encodes nothing: the
+// solver cannot see the constraint, so only model verification catches
+// the signals that violate it.
+class UnencodedNoChangeAtZero final : public Property {
+ public:
+  bool holds(const Signal& s) const override { return !s.has_change(0); }
+  bool encode(sat::SolverInterface&, const std::vector<sat::Var>&) const override {
+    return true;
+  }
+  std::string describe() const override { return "no change at 0 (unencoded)"; }
+};
+
+TEST(Joint, VerifyModelsChecksEveryWindowAndTheSpanProperties) {
+  auto enc = TimestampEncoding::random_constrained(12, 8, 4, 5);
+  Logger logger(enc);
+  const LogEntry e0 = logger.log(Signal::from_change_cycles(12, {0, 4}));
+  const LogEntry e1 = logger.log(Signal::from_change_cycles(12, {3, 7, 11}));
+  ReconstructionOptions verified;
+  verified.verify_models = true;
+
+  // Sound encoding: verification passes and changes nothing.
+  JointReconstructor joint(enc);
+  const ReconstructionResult plain = joint.reconstruct({e0, e1});
+  const ReconstructionResult checked = joint.reconstruct({e0, e1}, verified);
+  ASSERT_TRUE(checked.complete());
+  EXPECT_EQ(checked.signals, plain.signals);
+  EXPECT_TRUE(verify_signals(enc, std::vector<LogEntry>{e0, e1}, checked.signals));
+
+  // A span property the encoding ignores: the preimage holds a signal
+  // with a change at cycle 0 (the logged one), which verification flags.
+  const UnencodedNoChangeAtZero lying;
+  JointReconstructor unsound(enc);
+  unsound.add_property(lying);
+  EXPECT_NO_THROW(unsound.reconstruct({e0, e1}));
+  EXPECT_THROW(unsound.reconstruct({e0, e1}, verified), std::logic_error);
+}
+
+TEST(Joint, VerifySignalsNamesTheFailingWindow) {
+  auto enc = TimestampEncoding::one_hot(4);
+  const LogEntry e0{f2::BitVec::from_uint(4, 0b01), 1};  // cycle 0
+  const LogEntry e1{f2::BitVec::from_uint(4, 0b10), 1};  // cycle 1
+  const std::vector<LogEntry> span = {e0, e1};
+  // Window 0 right (cycle 0), window 1 wrong (cycle 4+0 instead of 4+1).
+  const Signal wrong = Signal::from_change_cycles(8, {0, 4});
+  const VerifyResult res = verify_signals(enc, span, {wrong});
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.failure.find("window 1"), std::string::npos) << res.failure;
+  EXPECT_FALSE(verify_signals(enc, span, {Signal(4)}));  // not a span signal
 }
 
 }  // namespace

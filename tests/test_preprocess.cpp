@@ -705,7 +705,7 @@ TEST(PreprocessTemplate, MatchesFreshPathAcrossRebuildEdges) {
     ReconstructionOptions raw_opts;  // fresh-solver reference, no front-end
     Reconstructor fresh(enc);
     // k_max = 2 so the k = 4 entry forces a template rebuild mid-stream.
-    TemplateReconstructor tmpl(enc, {}, pre_opts, /*k_max=*/2);
+    TemplateReconstructor tmpl(fresh, pre_opts, /*k_max=*/2);
 
     std::vector<LogEntry> entries;
     entries.push_back(logger.log(Signal::random_with_changes(enc.m(), 0, rng)));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <sstream>
 
 #include "f2/matrix.hpp"
@@ -124,6 +125,24 @@ TEST(Reconstruct, HypothesisWithoutNegationThrows) {
   Reconstructor rec(enc);
   ChangesInConsecutivePairs pairs;  // no negation implemented
   EXPECT_THROW(rec.check_hypothesis({f2::BitVec(8), 0}, pairs), std::invalid_argument);
+}
+
+TEST(Reconstruct, WrongWidthTimeprintIsRejected) {
+  // A timeprint from a log must match the encoding's width on every path;
+  // the presolve path used to answer a 200-bit timeprint against a 12-bit
+  // encoding with a "complete" empty preimage in optimized builds.
+  const auto enc = TimestampEncoding::random_constrained(32, 12, 3, 17);
+  const Reconstructor rec(enc);
+  ReconstructionOptions classic;
+  classic.presolve = false;
+  for (const std::size_t width : {std::size_t{11}, std::size_t{200}}) {
+    const LogEntry bad{f2::BitVec(width), 3};
+    EXPECT_THROW(rec.reconstruct(bad), std::invalid_argument) << width;
+    EXPECT_THROW(rec.reconstruct(bad, classic), std::invalid_argument) << width;
+    EXPECT_THROW(rec.check_hypothesis(bad, MinChangesBefore(16, 1)),
+                 std::invalid_argument)
+        << width;
+  }
 }
 
 TEST(Reconstruct, EmptyPreimageIsUnsat) {

@@ -352,6 +352,39 @@ def rule_naked_new(sf: SourceFile) -> List[Finding]:
     return out
 
 
+SR_EMIT_RE = re.compile(
+    r"\b(add_xor|add_xor_as_cnf|encode_exactly|sequential_outputs|"
+    r"totalizer_outputs)\s*\(")
+SR_EMIT_FILES = {
+    "src/timeprint/sr_encoder.cpp",
+    "src/timeprint/properties.cpp",
+}
+
+
+def rule_sr_encoder_only(sf: SourceFile) -> List[Finding]:
+    """Under src/timeprint/, only the SR encoder emits rows and counters.
+
+    The SR formula (XOR rows, the |x| = k counter) is written out by
+    encode_sr() in timeprint/sr_encoder.cpp for every decoder; properties
+    emit their own cardinality constraints in properties.cpp. A call to
+    add_xor, add_xor_as_cnf, encode_exactly, sequential_outputs or
+    totalizer_outputs anywhere else in src/timeprint/ is another copy of
+    the encoder, which can drift from the one the golden formula test
+    pins.
+    """
+    if not sf.rel.startswith("src/timeprint/") or sf.rel in SR_EMIT_FILES:
+        return []
+    out = []
+    for idx, line in enumerate(sf.code_lines, start=1):
+        m = SR_EMIT_RE.search(line)
+        if m is not None:
+            out.append(Finding(
+                sf.path, idx, "sr-encoder-only",
+                f"{m.group(1)}() outside timeprint/sr_encoder.cpp; emit the "
+                "SR formula through encode_sr()"))
+    return out
+
+
 RULES: List[Callable[[SourceFile], List[Finding]]] = [
     rule_raw_mutex,
     rule_solver_interface_only,
@@ -359,6 +392,7 @@ RULES: List[Callable[[SourceFile], List[Finding]]] = [
     rule_nolint_reason,
     rule_options_const_ref,
     rule_naked_new,
+    rule_sr_encoder_only,
 ]
 
 

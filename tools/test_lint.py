@@ -229,6 +229,38 @@ class NakedNewTest(LintFixture):
         self.assertEqual(findings, [])
 
 
+class SrEncoderOnlyTest(LintFixture):
+    def test_emission_outside_the_encoder_is_flagged(self):
+        findings = self.run_lint(
+            "src/timeprint/joint.cpp",
+            "solver.add_xor(std::move(row), rhs);\n"
+            "sat::add_xor_as_cnf(solver, row, rhs);\n"
+            "sat::encode_exactly(solver, lits, k, enc);\n"
+            "auto o = sat::totalizer_outputs(solver, lits, cap);\n"
+            "auto q = sat::sequential_outputs (solver, lits, cap);\n")
+        self.assertEqual(self.rules_of(findings), ["sr-encoder-only"] * 5)
+
+    def test_encoder_and_properties_are_exempt(self):
+        text = "ok = solver.add_xor(std::move(row), rhs) && ok;\n"
+        for rel in ("src/timeprint/sr_encoder.cpp",
+                    "src/timeprint/properties.cpp"):
+            self.assertEqual(self.run_lint(rel, text), [], rel)
+
+    def test_outside_timeprint_is_exempt(self):
+        findings = self.run_lint(
+            "src/sat/dimacs.cpp", "ok = solver.add_xor(xor_vars, rhs) && ok;\n")
+        self.assertEqual(findings, [])
+
+    def test_mentions_and_other_names_pass(self):
+        findings = self.run_lint(
+            "src/timeprint/incremental.cpp",
+            "// the totalizer_outputs( of encode_sr\n"
+            "const char* s = \"add_xor(\";\n"
+            "SrFormula f = encode_sr(solver, enc, spec, props, options);\n"
+            "bool my_add_xor_count = 0;\n")
+        self.assertEqual(findings, [])
+
+
 class SuppressionTest(LintFixture):
     def test_trailing_marker_with_reason_suppresses(self):
         findings = self.run_lint(
